@@ -71,10 +71,6 @@ def _cf_json(cf) -> dict:
     return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 # -- verb handlers ----------------------------------------------------
 
 def _cmd_cf_expand(args: dict) -> dict:
@@ -169,12 +165,12 @@ def _curve(args: dict, a_key: str = "A", b_key: str = "B") -> elliptic.EllipticC
 
 
 def _cmd_curve_j(args: dict) -> dict:
-    return {"j": _frac_str(elliptic.j_invariant(_curve(args)))}
+    return {"j": str(elliptic.j_invariant(_curve(args)))}
 
 
 def _cmd_curve_twist(args: dict) -> dict:
     e = elliptic.twist(_curve(args), elliptic.TwistParameter(_fraction_arg(args, "t")))
-    return {"A": _frac_str(e.A), "B": _frac_str(e.B)}
+    return {"A": str(e.A), "B": str(e.B)}
 
 
 def _cmd_curve_iso(args: dict) -> dict:
@@ -184,13 +180,13 @@ def _cmd_curve_iso(args: dict) -> dict:
     return {
         "c_isomorphic": elliptic.c_isomorphic(e1, e2),
         "q_isomorphic": q_iso,
-        "u": _frac_str(u) if u is not None else None,
+        "u": str(u) if u is not None else None,
     }
 
 
 def _cmd_curve_twist_between(args: dict) -> dict:
     t = elliptic.twist_between(_curve(args, "A1", "B1"), _curve(args, "A2", "B2"))
-    return {"t": _frac_str(t.t) if t is not None else None}
+    return {"t": str(t.t) if t is not None else None}
 
 
 VERBS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Union
 
 from .surd import QuadraticSurd
@@ -179,19 +179,31 @@ def _mobius_matrix(terms) -> tuple[int, int, int, int]:
     return m11, m12, m21, m22
 
 
+def _fixed_point(a: int, b: int, c: int, d: int) -> QuadraticSurd:
+    """Larger root ((a - d) + sqrt(disc))/(2c) of c x^2 + (d - a) x - b = 0,
+    a fixed point of x -> (a x + b)/(c x + d), for c > 0.
+
+    The form is divided by its content g first.  The discriminant of the
+    period matrix's form carries a square factor that grows exponentially
+    with the period length; the primitive form's discriminant is the
+    field discriminant times a small conductor, so normalising it stays
+    within trial division (Cohen, A Course in Computational Algebraic
+    Number Theory, 5.2).
+    """
+    g = gcd(gcd(c, d - a), b)
+    disc = ((a - d) ** 2 + 4 * b * c) // (g * g)
+    return QuadraticSurd.normalize((a - d) // g, 1, 2 * c // g, disc)
+
+
 def value_of(cf: AnyCF) -> QuadraticSurd:
     """Exact value; inverse of the expansion maps."""
     if isinstance(cf, FiniteCF):
         m11, m12, m21, m22 = _mobius_matrix(cf.terms)
         # value = (m11*1 + ... ) applied to the empty tail: p_m/q_m = m11/m21
         return QuadraticSurd.normalize(m11, 0, m21, 1)
-    # purely periodic part: positive fixed point y > 1 of the period matrix
-    m11, m12, m21, m22 = _mobius_matrix(cf.period)
-    # m21 y^2 + (m22 - m11) y - m12 = 0
-    disc = (m11 - m22) ** 2 + 4 * m12 * m21
-    y = QuadraticSurd.normalize(m11 - m22, 1, 2 * m21, disc)
-    if not y > 1:
-        y = QuadraticSurd.normalize(m11 - m22, -1, 2 * m21, disc)
+    # purely periodic part: the fixed point y > 1 of the period matrix; its
+    # conjugate lies in (-1, 0) (Galois), so y is the larger root
+    y = _fixed_point(*_mobius_matrix(cf.period))
     n11, n12, n21, n22 = _mobius_matrix(cf.preperiod)
     return (y * n11 + n12) / (y * n21 + n22)
 

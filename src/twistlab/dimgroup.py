@@ -4,8 +4,9 @@ A group is the inductive limit of Z^n --phi--> Z^n --phi--> ... for a
 primitive nonnegative integer matrix phi with nonzero determinant.
 Elements are (vector, stage) pairs identified by forward pushing.
 Positivity for rank 2 is decided exactly through the left
-Perron-Frobenius eigenvector in quadratic-surd arithmetic; higher ranks
-fall back to a capped iteration with an honest undecided verdict.
+Perron-Frobenius eigenvector, as the sign of an integer a + b*sqrt(k);
+higher ranks fall back to a capped iteration with an honest undecided
+verdict.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .contfrac import is_primitive as word_is_primitive
-from .surd import QuadraticSurd
+from .contfrac import _fixed_point, _mobius_matrix, is_primitive as word_is_primitive
+from .surd import QuadraticSurd, _sign2
 from . import torus
 
 
@@ -100,8 +101,9 @@ class K0Element:
 @dataclass(frozen=True)
 class StationaryDimensionGroup:
     phi: Matrix
-    # left Perron data for rank 2, cached at construction
-    _perron_pairing: Optional[tuple[QuadraticSurd, QuadraticSurd]] = field(
+    # rank 2: (2c, d - a, disc) with twice the Perron pairing of v equal
+    # to 2c*v0 + (d - a)*v1 + v1*sqrt(disc); see _left_perron_pairing
+    _perron_pairing: Optional[tuple[int, int, int]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -133,17 +135,17 @@ def from_matrix(phi) -> StationaryDimensionGroup:
     return StationaryDimensionGroup(rows, pairing)
 
 
-def _left_perron_pairing(phi: Matrix) -> tuple[QuadraticSurd, QuadraticSurd]:
+def _left_perron_pairing(phi: Matrix) -> tuple[int, int, int]:
     """Left eigenvector (w1, w2) of the Perron eigenvalue, exact.
 
     For primitive [[a, b], [c, d]] both b, c > 0 and the eigenvalue is
     lam = ((a+d) + sqrt((a-d)^2 + 4bc))/2 > a, so w = (c, lam - a) is
-    strictly positive.
+    strictly positive.  Returned as the integers (2c, d - a, disc):
+    2*(w1*v0 + w2*v1) = 2c*v0 + (d - a)*v1 + v1*sqrt(disc), whose sign
+    needs no squarefree form of disc.
     """
     (a, b), (c, d) = phi
-    disc = (a - d) ** 2 + 4 * b * c
-    lam = QuadraticSurd.normalize(a + d, 1, 2, disc)
-    return QuadraticSurd.from_rational(c), lam - a
+    return 2 * c, d - a, (a - d) ** 2 + 4 * b * c
 
 
 def from_cf_period(period) -> StationaryDimensionGroup:
@@ -154,9 +156,7 @@ def from_cf_period(period) -> StationaryDimensionGroup:
         raise DimGroupError("period must be a nonempty positive word")
     if not word_is_primitive(word):
         raise DimGroupError(f"not primitive: {word}")
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    for b in word:
-        m11, m12, m21, m22 = m11 * b + m12, m11, m21 * b + m22, m21
+    m11, m12, m21, m22 = _mobius_matrix(word)
     return from_matrix(((m11, m12), (m21, m22)))
 
 
@@ -188,24 +188,18 @@ def is_positive(
     zero pairing on a nonzero vector is reported undecided rather than
     silently classifying infinitesimals.  Rank > 2: capped iteration.
     """
+    if g._perron_pairing is None:
+        return iteration_verdict(g, e, iteration_cap)
     _check_vector(g, e)
     v = e.vector
     if all(x == 0 for x in v):
         return Positivity.ZERO
-    if g._perron_pairing is not None:
-        w1, w2 = g._perron_pairing
-        s = (w1 * v[0] + w2 * v[1]).sign()
-        if s > 0:
-            return Positivity.STRICTLY_POSITIVE
-        if s < 0:
-            return Positivity.STRICTLY_NEGATIVE
-        return Positivity.UNDECIDED
-    for _ in range(iteration_cap):
-        if all(x > 0 for x in v):
-            return Positivity.STRICTLY_POSITIVE
-        if all(x < 0 for x in v):
-            return Positivity.STRICTLY_NEGATIVE
-        v = _mat_vec(g.phi, v)
+    two_c, d_minus_a, disc = g._perron_pairing
+    s = _sign2(two_c * v[0] + d_minus_a * v[1], v[1], disc)
+    if s > 0:
+        return Positivity.STRICTLY_POSITIVE
+    if s < 0:
+        return Positivity.STRICTLY_NEGATIVE
     return Positivity.UNDECIDED
 
 
@@ -240,8 +234,7 @@ def rank2_slope(g: StationaryDimensionGroup) -> QuadraticSurd:
     if g.rank != 2:
         raise DimGroupError("slope is defined for rank 2 only")
     (a, b), (c, d) = g.phi
-    disc = (a - d) ** 2 + 4 * b * c
-    x = QuadraticSurd.normalize(a - d, 1, 2 * c, disc)
+    x = _fixed_point(a, b, c, d)
     if x.is_rational:
         raise NotCFTypeError("rational Perron eigenvalue: not of CF type")
     return x

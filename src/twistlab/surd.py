@@ -30,6 +30,10 @@ class SurdParseError(SurdError):
 
 
 _TRIAL_BOUND = 10_000
+# Longest trial-division cofactor handed to sympy.factorint.  sympy 1.14
+# factored random 96-bit semiprimes in 0.25-0.9 s on a 2-vCPU Xeon VM,
+# 100-bit ones in up to 2 s; the time keeps growing with the size.
+_FACTOR_BITS = 96
 _primes_cache: list[int] = []
 
 
@@ -47,12 +51,16 @@ def _small_primes() -> list[int]:
 def _squarefree_decompose(d: int) -> tuple[int, int]:
     """Return (s, d0) with d = s^2 * d0 and d0 squarefree.
 
-    Sieved trial division handles every square prime factor up to the
-    bound; the leftover is then squarefree unless it is a perfect square
-    or exceeds the bound squared, in which case it is fully factored
-    (periodic continued-fraction values produce gigantic discriminants
-    whose square part is huge while the squarefree part stays small, so
-    the perfect-square check almost always resolves it first).
+    Sieved trial division removes every prime factor up to the bound.
+    A leftover below the bound squared has no factor up to its square
+    root, so it is 1 or a prime.  A larger leftover is resolved by a
+    perfect-square check, then by sympy.factorint while it is at most
+    _FACTOR_BITS long; a longer one raises SurdError rather than factor
+    without a time bound.  Fixed points of period matrices are built
+    from primitive forms (contfrac._fixed_point), so the square factor
+    that grows with the period length never arrives here; only user
+    input (large radicands, long arbitrary period words) reaches
+    factorint or the error.
     """
     s, sf = 1, 1
     for p in _small_primes():
@@ -71,7 +79,12 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
         root = isqrt(d)
         if root * root == d:
             return s * root, sf
-        from sympy import factorint  # rare path: big mixed leftover
+        if d.bit_length() > _FACTOR_BITS:
+            raise SurdError(
+                f"radicand too large to certify squarefree: a cofactor of "
+                f"{d.bit_length()} bits has no prime factor below {_TRIAL_BOUND}"
+            )
+        from sympy import factorint
 
         for p, e in factorint(d).items():
             s *= p ** (e // 2)
@@ -404,24 +417,6 @@ class LinearPolynomial:
 
     def evaluate(self, x: QuadraticSurd) -> QuadraticSurd:
         return x * self.c1 + self.c0
-
-
-# -- operation-style wrappers (the dataclass methods do the work) -----
-
-def normalize(p: int, q: int, r: int, d: int) -> QuadraticSurd:
-    return QuadraticSurd.normalize(p, q, r, d)
-
-
-def floor(x: QuadraticSurd) -> int:
-    return x.floor()
-
-
-def compare(x: QuadraticSurd, y: QuadraticSurd) -> int:
-    return x.compare(y)
-
-
-def minimal_polynomial(x: QuadraticSurd):
-    return x.minimal_polynomial()
 
 
 # -- text literals ----------------------------------------------------
