@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import contfrac, dimgroup, elliptic, torus
@@ -35,10 +35,6 @@ DOMAIN_ERRORS = (
 )
 
 
-def parse_surd_literal(text: str) -> QuadraticSurd:
-    return parse_surd(text)
-
-
 def _arg(args: dict, key: str):
     if key not in args:
         raise UsageError(f"missing argument '{key}'")
@@ -56,12 +52,41 @@ def _fraction_arg(args: dict, key: str) -> Fraction:
         raise UsageError(f"argument '{key}' is not an exact rational: {exc}")
 
 
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer or a signed decimal-digit string; a bool, a float
+    or anything else is a usage error, never coerced."""
+    if type(value) is int:  # a bool is not one
+        return value
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise UsageError(f"{what}: {exc}")
+    raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _shaped(value, kind: type, what: str):
+    """value itself if it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        name = "array" if kind is list else "object"
+        raise UsageError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    items = _shaped(value, list, what)
+    return tuple(x if type(x) is int else _int(x, f"{what} entry") for x in items)
+
+
 def _cf_from_args(args: dict):
     if "terms" in args:
-        return FiniteCF(tuple(int(a) for a in args["terms"]))
+        return FiniteCF(_ints(args["terms"], "terms"))
     if "period" in args:
-        pre = tuple(int(a) for a in args.get("preperiod", ()))
-        return EventuallyPeriodicCF(pre, tuple(int(b) for b in args["period"]))
+        pre = _ints(args.get("preperiod", []), "preperiod")
+        return EventuallyPeriodicCF(pre, _ints(args["period"], "period"))
     raise UsageError("expected 'terms' or 'preperiod'/'period'")
 
 
@@ -85,9 +110,7 @@ def _cmd_cf_value(args: dict) -> dict:
 
 
 def _cmd_cf_convergents(args: dict) -> dict:
-    cf = _cf_from_args(args)
-    count = int(_arg(args, "count"))
-    convs = contfrac.convergents(cf, count)
+    convs = contfrac.convergents(_cf_from_args(args), _int(_arg(args, "count"), "count"))
     return {"convergents": [f"{c.p}/{c.q}" for c in convs]}
 
 
@@ -115,7 +138,7 @@ def _cmd_torus_invariant(args: dict) -> dict:
 
 
 def _cmd_dimgroup_from_period(args: dict) -> dict:
-    g = dimgroup.from_cf_period(tuple(int(b) for b in _arg(args, "period")))
+    g = dimgroup.from_cf_period(_ints(_arg(args, "period"), "period"))
     return {
         "phi": [list(row) for row in g.phi],
         "rank": g.rank,
@@ -126,38 +149,32 @@ def _cmd_dimgroup_from_period(args: dict) -> dict:
 
 
 def _iter_cap() -> int:
-    raw = os.environ.get("TWISTLAB_ITER_CAP", "")
-    if not raw:
-        return 64
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TWISTLAB_ITER_CAP is not an integer: {raw!r}")
+    return _int(os.environ.get("TWISTLAB_ITER_CAP") or "64", "TWISTLAB_ITER_CAP")
 
 
 def _group_from_args(args: dict) -> dimgroup.StationaryDimensionGroup:
     if "period" in args:
-        return dimgroup.from_cf_period(tuple(int(b) for b in args["period"]))
-    return dimgroup.from_matrix(_arg(args, "phi"))
+        return dimgroup.from_cf_period(_ints(args["period"], "period"))
+    rows = _shaped(_arg(args, "phi"), list, "phi")
+    return dimgroup.from_matrix([_ints(row, "phi row") for row in rows])
+
+
+def _element(spec: dict, what: str = "") -> dimgroup.K0Element:
+    return dimgroup.K0Element(
+        _int(spec.get("stage", 0), what + "stage"), _ints(_arg(spec, "vector"), what + "vector")
+    )
 
 
 def _cmd_dimgroup_positive(args: dict) -> dict:
     g = _group_from_args(args)
-    e = dimgroup.K0Element(
-        int(args.get("stage", 0)), tuple(int(x) for x in _arg(args, "vector"))
-    )
-    verdict = dimgroup.is_positive(g, e, iteration_cap=_iter_cap())
+    verdict = dimgroup.is_positive(g, _element(args), iteration_cap=_iter_cap())
     return {"verdict": verdict.value}
 
 
 def _cmd_dimgroup_compare(args: dict) -> dict:
     g = _group_from_args(args)
-    def element(key):
-        spec = _arg(args, key)
-        return dimgroup.K0Element(
-            int(spec.get("stage", 0)), tuple(int(x) for x in _arg(spec, "vector"))
-        )
-    return {"equal": dimgroup.element_equal(g, element("e1"), element("e2"))}
+    e1, e2 = (_element(_shaped(_arg(args, k), dict, k), f"{k} ") for k in ("e1", "e2"))
+    return {"equal": dimgroup.element_equal(g, e1, e2)}
 
 
 def _curve(args: dict, a_key: str = "A", b_key: str = "B") -> elliptic.EllipticCurve:
@@ -214,7 +231,7 @@ def run_command(verb: str, args: dict) -> dict:
     return VERBS[verb](args)
 
 
-def run_batch(entries: list, parallel: bool = False) -> list:
+def run_batch(entries: list) -> list:
     """Run a batch; responses align positionally with the requests and a
     failing entry never aborts the rest."""
     if not isinstance(entries, list):
@@ -238,14 +255,7 @@ def run_batch(entries: list, parallel: bool = False) -> list:
             return {"id": entry["id"], "status": "error",
                     "message": str(exc), "kind": type(exc).__name__}
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(one, entries))
     return [one(entry) for entry in entries]
-
-
-def _dump(obj, pretty: bool) -> str:
-    return json.dumps(obj, indent=2 if pretty else None, sort_keys=False)
 
 
 def main(argv=None) -> int:
@@ -261,13 +271,11 @@ def main(argv=None) -> int:
                         help="read args (single) or request array (batch) from FILE")
     parser.add_argument("--out", dest="outfile", metavar="FILE",
                         help="write output to FILE instead of stdout")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run batch entries concurrently")
     parser.add_argument("--pretty", action="store_true", help="indented JSON")
     opts = parser.parse_args(argv)
 
     def emit(obj):
-        text = _dump(obj, opts.pretty) + "\n"
+        text = json.dumps(obj, indent=2 if opts.pretty else None) + "\n"
         if opts.outfile:
             with open(opts.outfile, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -277,26 +285,18 @@ def main(argv=None) -> int:
     try:
         if opts.args is not None and opts.infile:
             raise UsageError("give inline JSON args or --in, not both")
-        raw = None
+        raw = opts.args
         if opts.infile:
             with open(opts.infile, encoding="utf-8") as fh:
                 raw = fh.read()
-        elif opts.args is not None:
-            raw = opts.args
         try:
             payload = json.loads(raw) if raw is not None else {}
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed JSON input: {exc}")
 
-        if opts.verb == "batch":
-            emit(run_batch(payload, parallel=opts.parallel))
-        else:
-            emit(run_command(opts.verb, payload))
+        emit(run_batch(payload) if opts.verb == "batch" else run_command(opts.verb, payload))
         return 0
-    except UsageError as exc:
-        print(f"twistlab: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"twistlab: {exc}", file=sys.stderr)
         return 1
     except DOMAIN_ERRORS as exc:

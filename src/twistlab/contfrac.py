@@ -39,7 +39,31 @@ def canonical_rotation(period) -> tuple[int, ...]:
         raise CFError("empty period")
     if not is_primitive(word):
         raise NotPrimitiveError(f"not primitive: {word}")
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    k = least_rotation(word)
+    return word[k:] + word[:k]
+
+
+def least_rotation(word) -> int:
+    """First offset k at which word[k:] + word[:k] is lexicographically
+    least, in O(len(word)): Booth's algorithm (1980), a failure function
+    over the doubled word that restarts at each better candidate."""
+    s = tuple(word) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c == s[k + i + 1]:
+            fail[j - k] = i + 1
+        else:  # i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+    return k
 
 
 @dataclass(frozen=True)
@@ -162,13 +186,7 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
         P = a * Q - P
         Q = (D - P * P) // Q
     start = seen[(P, Q)]
-    preperiod = terms[:start]
-    period = terms[start:]
-    # safety pass; with fixed D the recursion already lands minimal
-    while preperiod and preperiod[-1] == period[-1]:
-        period = [period[-1]] + period[:-1]
-        preperiod = preperiod[:-1]
-    return EventuallyPeriodicCF(tuple(preperiod), tuple(period))
+    return EventuallyPeriodicCF(tuple(terms[:start]), tuple(terms[start:]))
 
 
 def _mobius_matrix(terms) -> tuple[int, int, int, int]:

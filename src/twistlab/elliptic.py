@@ -114,16 +114,15 @@ def q_isomorphic(
     if e1.A == 0:
         # single surviving equation u^6 = B2/B1
         u = _rational_nth_root(e2.B / e1.B, 6)
-        return (True, u) if u is not None else (False, None)
-    if e1.B == 0:
+    elif e1.B == 0:
         u = _rational_nth_root(e2.A / e1.A, 4)
-        return (True, u) if u is not None else (False, None)
-    # generic: u^2 = (B2/B1)/(A2/A1), then both defining equations checked
-    u2 = (e2.B / e1.B) / (e2.A / e1.A)
-    if u2 <= 0 or u2**2 != e2.A / e1.A or u2**3 != e2.B / e1.B:
-        return False, None
-    u = _rational_nth_root(u2, 2)
-    return (True, u) if u is not None else (False, None)
+    else:
+        # generic: u^2 = (B2/B1)/(A2/A1), then both defining equations checked
+        u2 = (e2.B / e1.B) / (e2.A / e1.A)
+        if u2 <= 0 or u2**2 != e2.A / e1.A or u2**3 != e2.B / e1.B:
+            return False, None
+        u = _rational_nth_root(u2, 2)
+    return u is not None, u
 
 
 def twist_between(e1: EllipticCurve, e2: EllipticCurve) -> Optional[TwistParameter]:

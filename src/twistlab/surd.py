@@ -117,21 +117,8 @@ def _sign3(u: int, v: int, m: int, w: int, n: int) -> int:
         return _sign2(u + w, v, m)
     if m == n:
         return _sign2(u, v + w, m)
-    # sign of the radical part v*sqrt(m) + w*sqrt(n)
-    if v == 0 and w == 0:
-        return (u > 0) - (u < 0)
-    if v == 0:
-        rad = 1 if w > 0 else -1
-    elif w == 0:
-        rad = 1 if v > 0 else -1
-    elif (v > 0) == (w > 0):
-        rad = 1 if v > 0 else -1
-    else:
-        lhs, rhs = v * v * m, w * w * n
-        if lhs == rhs:
-            rad = 0
-        else:
-            rad = (1 if v > 0 else -1) if lhs > rhs else (1 if w > 0 else -1)
+    # sign of the radical part v*sqrt(m) + w*sqrt(n): times sqrt(m), v*m + w*sqrt(mn)
+    rad = _sign2(v * m, w, m * n)
     if rad == 0:
         return (u > 0) - (u < 0)
     if u == 0 or (u > 0) == (rad > 0):
@@ -171,8 +158,14 @@ class QuadraticSurd:
         if d <= 0:
             raise SurdError("only real quadratic fields supported (d >= 1)")
         s, d0 = _squarefree_decompose(d)
-        q *= s
-        if d0 == 1:
+        return QuadraticSurd._reduced(p, q * s, r, d0)
+
+    @staticmethod
+    def _reduced(p: int, q: int, r: int, d: int) -> "QuadraticSurd":
+        """Canonical form of (p + q*sqrt(d))/r for a squarefree d >= 1
+        and r != 0.  Arithmetic results stay in their operands' field, so
+        they come here directly and never factor d again."""
+        if d == 1:
             p, q = p + q, 0
         if r < 0:
             p, q, r = -p, -q, -r
@@ -180,12 +173,12 @@ class QuadraticSurd:
         if g == 0:
             # p = q = 0: canonical zero
             return QuadraticSurd(0, 0, 1, 1)
-        return QuadraticSurd(p // g, q // g, r // g, d0 if q else 1)
+        return QuadraticSurd(p // g, q // g, r // g, d if q else 1)
 
     @staticmethod
     def from_rational(x) -> "QuadraticSurd":
         f = Fraction(x)
-        return QuadraticSurd.normalize(f.numerator, 0, f.denominator, 1)
+        return QuadraticSurd._reduced(f.numerator, 0, f.denominator, 1)
 
     @staticmethod
     def sqrt_of(d: int) -> "QuadraticSurd":
@@ -229,7 +222,7 @@ class QuadraticSurd:
         if o is NotImplemented:
             return NotImplemented
         d = self._common_d(o)
-        return QuadraticSurd.normalize(
+        return QuadraticSurd._reduced(
             self.p * o.r + o.p * self.r,
             self.q * o.r + o.q * self.r,
             self.r * o.r,
@@ -239,7 +232,7 @@ class QuadraticSurd:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd.normalize(-self.p, -self.q, self.r, self.d)
+        return QuadraticSurd._reduced(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -255,7 +248,7 @@ class QuadraticSurd:
         if o is NotImplemented:
             return NotImplemented
         d = self._common_d(o)
-        return QuadraticSurd.normalize(
+        return QuadraticSurd._reduced(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + self.q * o.p,
             self.r * o.r,
@@ -269,7 +262,7 @@ class QuadraticSurd:
             raise ZeroDivisionError("surd division by zero")
         # 1/((p + q*sqrt(d))/r) = r*(p - q*sqrt(d)) / (p^2 - q^2 d)
         norm = self.p * self.p - self.q * self.q * self.d
-        return QuadraticSurd.normalize(
+        return QuadraticSurd._reduced(
             self.r * self.p, -self.r * self.q, norm, self.d
         )
 
@@ -284,7 +277,7 @@ class QuadraticSurd:
         return self.invert() * other
 
     def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd.normalize(self.p, -self.q, self.r, self.d)
+        return QuadraticSurd._reduced(self.p, -self.q, self.r, self.d)
 
     # -- order --------------------------------------------------------
 
@@ -487,29 +480,20 @@ def _parse_numerator(sc: _Scanner) -> tuple[int, int, int]:
         sign = -1 if sc.peek() == "-" else 1
         sc.pos += 1
         sc.skip_ws()
-    if sc.text.startswith("sqrt", sc.pos):
-        q, d = _parse_sqrt_term(sc, sign)
-        return 0, q, d
     if not sc.peek().isdigit():
-        raise SurdParseError("expected integer or sqrt term", sc.pos)
+        if not sc.text.startswith("sqrt", sc.pos):
+            raise SurdParseError("expected integer or sqrt term", sc.pos)
+        return (0, *_parse_sqrt_term(sc, sign))
+    start = sc.pos
     first = sign * sc.integer()
     sc.skip_ws()
-    if sc.peek() == "*":
-        sc.expect("*")
-        sc.skip_ws()
-        if not sc.try_keyword("sqrt"):
-            raise SurdParseError("expected 'sqrt'", sc.pos)
-        sc.skip_ws()
-        sc.expect("(")
-        d = sc.integer()
-        sc.skip_ws()
-        sc.expect(")")
-        return 0, first, d
+    if sc.peek() == "*":  # k*sqrt(d): read it again as one sqrt term
+        sc.pos = start
+        return (0, *_parse_sqrt_term(sc, sign))
     if sc.peek() in ("+", "-"):
         term_sign = -1 if sc.peek() == "-" else 1
         sc.pos += 1
-        q, d = _parse_sqrt_term(sc, term_sign)
-        return first, q, d
+        return (first, *_parse_sqrt_term(sc, term_sign))
     return first, 0, 1
 
 

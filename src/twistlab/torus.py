@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contfrac import canonical_rotation, convergent_matrix, expand_surd
+from .contfrac import canonical_rotation, convergent_matrix, expand_surd, least_rotation
 from .surd import QuadraticSurd
 
 
@@ -84,38 +84,29 @@ def morita_invariant(t: TorusParameter) -> tuple[int, ...]:
     return canonical_rotation(expand_surd(t.theta).period)
 
 
-def _complete_quotients(theta: QuadraticSurd, count: int) -> list[QuadraticSurd]:
-    """x_0 = theta, x_{k+1} = 1/(x_k - floor(x_k)); all irrational."""
-    out = [theta]
-    x = theta
-    for _ in range(count):
-        x = (x - x.floor()).invert()
-        out.append(x)
-    return out
+def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
+    """(cf1, i, cf2, j) with equal complete quotients x_i of theta1 and
+    y_j of theta2, or None when the tail classes differ.
 
-
-def _alignments(t1: TorusParameter, t2: TorusParameter, extra: int = 0):
-    """Yield (i, j, witness) for tail matches within the search window.
-
-    Tails x_i of t1 and y_j of t2 are equal complete quotients; the
-    witness C_j(t2) * C_i(t1)^-1 then maps theta1 to theta2.  Offsets
-    run to preperiod + 2 * period on each side (plus `extra` to allow a
-    determinant-parity flip).
-    """
+    x_i is purely periodic from i = |pre1| on; it equals y_j, j >= |pre2|,
+    when theta2's period rotated by j - |pre2| = k2 - k1 mod L is theta1's,
+    for the least-rotation offsets k1, k2.  Any earlier match lies on the
+    same diagonal i - j, so it gives the same witness."""
     cf1 = expand_surd(t1.theta)
     cf2 = expand_surd(t2.theta)
-    if canonical_rotation(cf1.period) != canonical_rotation(cf2.period):
-        return
-    lim1 = len(cf1.preperiod) + 2 * len(cf1.period) + extra
-    lim2 = len(cf2.preperiod) + 2 * len(cf2.period) + extra
-    tails1 = _complete_quotients(t1.theta, lim1)
-    tails2 = _complete_quotients(t2.theta, lim2)
-    for i, x in enumerate(tails1):
-        c1 = UnimodularWitness(*convergent_matrix(cf1, i))
-        for j, y in enumerate(tails2):
-            if x == y:
-                c2 = UnimodularWitness(*convergent_matrix(cf2, j))
-                yield i, j, c2 @ c1.inverse()
+    p1, p2 = cf1.period, cf2.period
+    k1, k2 = least_rotation(p1), least_rotation(p2)
+    if p1[k1:] + p1[:k1] != p2[k2:] + p2[:k2]:
+        return None
+    return cf1, len(cf1.preperiod), cf2, len(cf2.preperiod) + (k2 - k1) % len(p1)
+
+
+def _witness(cf1, i: int, cf2, j: int) -> UnimodularWitness:
+    """C_j(theta2) * C_i(theta1)^-1, which maps theta1 = C_i(x_i) to
+    theta2 = C_j(y_j) when x_i = y_j; its determinant is (-1)^(i + j)."""
+    c1 = UnimodularWitness(*convergent_matrix(cf1, i))
+    c2 = UnimodularWitness(*convergent_matrix(cf2, j))
+    return c2 @ c1.inverse()
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
@@ -127,9 +118,8 @@ def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> U
 def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
     """A verified witness of determinant +-1, or None when the tail
     classes differ."""
-    for _i, _j, m in _alignments(t1, t2):
-        return _verified(m, t1, t2)
-    return None
+    found = _tail_offsets(t1, t2)
+    return _verified(_witness(*found), t1, t2) if found else None
 
 
 def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
@@ -139,8 +129,12 @@ def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWi
     when the period length is odd; for even period lengths the parity is
     fixed, so a +1 witness may genuinely not exist.
     """
-    period_len = len(expand_surd(t1.theta).period)
-    for _i, _j, m in _alignments(t1, t2, extra=period_len + 1):
-        if m.det == 1:
-            return _verified(m, t1, t2)
-    return None
+    found = _tail_offsets(t1, t2)
+    if not found:
+        return None
+    cf1, i, cf2, j = found
+    if (i + j) % 2:
+        if len(cf1.period) % 2 == 0:
+            return None
+        j += len(cf1.period)
+    return _verified(_witness(cf1, i, cf2, j), t1, t2)

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from twistlab.cli import UsageError, main, parse_surd_literal, run_batch, run_command
-from twistlab.surd import QuadraticSurd
+from twistlab.cli import UsageError, main, run_batch, run_command
+from twistlab.surd import QuadraticSurd, parse_surd
 
 
 def run_main(args, capsys):
@@ -16,13 +16,13 @@ def run_main(args, capsys):
 
 class TestParseSurdLiteral:
     def test_defaults(self):
-        assert parse_surd_literal("sqrt(2)") == QuadraticSurd(0, 1, 1, 2)
+        assert parse_surd("sqrt(2)") == QuadraticSurd(0, 1, 1, 2)
 
     def test_direct_read(self):
-        assert parse_surd_literal("(1+sqrt(5))/2") == QuadraticSurd(1, 1, 2, 5)
+        assert parse_surd("(1+sqrt(5))/2") == QuadraticSurd(1, 1, 2, 5)
 
     def test_normalized_on_parse(self):
-        assert parse_surd_literal("(2+2*sqrt(2))/4") == QuadraticSurd(1, 1, 2, 2)
+        assert parse_surd("(2+2*sqrt(2))/4") == QuadraticSurd(1, 1, 2, 2)
 
 
 class TestRunCommand:
@@ -146,12 +146,55 @@ class TestBatch:
         with pytest.raises(UsageError):
             run_batch(req)
 
-    def test_parallel_matches_serial(self):
+    def test_non_integer_period_entry_is_isolated(self):
         req = [
-            {"id": str(i), "verb": "cf.expand", "args": {"theta": f"sqrt({d})"}}
-            for i, d in enumerate([2, 3, 5, 6, 7, 10, 11, 13])
+            {"id": "bad", "verb": "cf.value", "args": {"period": ["x"]}},
+            {"id": "ok", "verb": "cf.value", "args": {"period": [2]}},
         ]
-        assert run_batch(req, parallel=True) == run_batch(req, parallel=False)
+        got = run_batch(req)
+        assert got[0]["status"] == "error" and got[0]["kind"] == "usage"
+        assert got[1] == {"id": "ok", "status": "ok", "result": {"value": "1+sqrt(2)"}}
+
+
+class TestStrictIntegers:
+    def test_float_period_rejected(self):
+        with pytest.raises(UsageError):
+            run_command("cf.value", {"period": [1.7, 2]})
+
+    def test_non_object_element_rejected(self):
+        args = {"phi": [[2, 1], [1, 1]], "e1": [0, [1, 0]],
+                "e2": {"stage": 0, "vector": [1, 0]}}
+        with pytest.raises(UsageError):
+            run_command("dimgroup.compare", args)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, 2.0, "2.0", " 2", "", None, [2], {"n": 2}],
+        ids=["bool", "float", "float-text", "padded", "empty", "null", "array", "object"],
+    )
+    def test_count_rejects_non_integers(self, bad):
+        with pytest.raises(UsageError):
+            run_command("cf.convergents", {"terms": [1, 2, 2], "count": bad})
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"phi": [[2, "1.5"], [1, 1]], "vector": [1, 0]},
+            {"phi": "[[2, 1], [1, 1]]", "vector": [1, 0]},
+            {"phi": [[2, 1], [1, 1]], "vector": [1, False]},
+            {"phi": [[2, 1], [1, 1]], "vector": [1, 0], "stage": 0.5},
+            {"period": [1, 2], "vector": "10"},
+        ],
+    )
+    def test_group_arguments_strict(self, args):
+        with pytest.raises(UsageError):
+            run_command("dimgroup.positive", args)
+
+    def test_integer_strings_accepted(self):
+        got = run_command("cf.convergents", {"terms": ["1", "+2", 2], "count": "3"})
+        assert got == run_command("cf.convergents", {"terms": [1, 2, 2], "count": 3})
+        got = run_command("dimgroup.positive", {"phi": [["2", 1], [1, 1]], "vector": ["-1", 0]})
+        assert got == run_command("dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [-1, 0]})
 
 
 class TestMainExitCodes:
@@ -209,21 +252,10 @@ class TestDeterminismAndRoundTrip:
         _, out2, _ = run_main(args, capsys)
         assert out1 == out2
 
-    def test_parallel_batch_byte_identical(self, tmp_path, capsys):
-        req = [
-            {"id": str(i), "verb": "torus.invariant", "args": {"theta": f"sqrt({d})"}}
-            for i, d in enumerate([2, 3, 5, 7, 11, 13, 17, 19])
-        ]
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(req))
-        _, serial, _ = run_main(["batch", "--in", str(path)], capsys)
-        _, parallel, _ = run_main(["batch", "--in", str(path), "--parallel"], capsys)
-        assert serial == parallel
-
     def test_printed_values_reparse(self, capsys):
         _, out, _ = run_main(["cf.value", '{"preperiod": [1], "period": [2]}'], capsys)
         value = json.loads(out)["value"]
-        parsed = parse_surd_literal(value)
+        parsed = parse_surd(value)
         _, out2, _ = run_main(["cf.expand", json.dumps({"theta": value})], capsys)
         assert json.loads(out2) == {"preperiod": [1], "period": [2]}
         assert parsed == QuadraticSurd(0, 1, 1, 2)

@@ -192,6 +192,7 @@ class TestCanonicalRotation:
         if not is_primitive(word):
             return
         base = canonical_rotation(word)
+        assert base == min(word[i:] + word[:i] for i in range(len(word)))
         for i in range(len(word)):
             assert canonical_rotation(word[i:] + word[:i]) == base
 

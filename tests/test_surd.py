@@ -95,6 +95,22 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             QuadraticSurd.sqrt_of(2) / S(0, 0, 1, 1)
 
+    def test_arithmetic_never_refactors_its_field(self, monkeypatch):
+        # 10^9 + 7 is prime and above the trial-division square, so
+        # building sqrt of it certifies it once with sympy.factorint
+        x = QuadraticSurd.sqrt_of(1000000007)
+        calls = []
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return {n: 1}
+
+        monkeypatch.setattr("sympy.factorint", counting)
+        got = (x + 1) * x / (x + 2)
+        assert calls == []
+        assert got * (x + 2) == (x + 1) * x
+        assert (-got).conjugate() == -(got.conjugate())
+
     @given(surds_in(2), surds_in(2), surds_in(2))
     def test_field_axioms(self, x, y, z):
         assert x + y == y + x

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistlab.surd import QuadraticSurd
+from twistlab.surd import QuadraticSurd, parse_surd
 from twistlab.torus import (
     TorusError,
     TorusParameter,
@@ -164,3 +164,51 @@ class TestAgainstBruteForce:
     def test_negative_pair(self):
         assert morita_equivalent(SQRT2, GOLDEN) is None
         assert brute_force_equivalent(SQRT2, GOLDEN, length=8) is None
+
+
+class TestPinnedWitnesses:
+    """The witness is C_j(theta2) * C_i(theta1)^-1 at i = |pre1| and
+    j = |pre2| + (k2 - k1) mod L from the least-rotation offsets k1, k2
+    (plus L for a det +1 witness when L is odd); these rows were recorded
+    from the earlier quadratic search over pairs of complete quotients."""
+
+    @pytest.mark.parametrize(
+        "theta1,theta2,morita,sl2",
+        [
+            # equal parameters
+            ("(1+sqrt(5))/2", "(1+sqrt(5))/2", ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+            ("sqrt(2)", "sqrt(2)", ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+            # [3, 5; (2)] and [7, 3, 5; (2)] already agree inside the preperiods
+            ("(46-sqrt(2))/14", "(1103+sqrt(2))/151",
+             ((7, 1), (1, 0)), ((-329, 1104), (-45, 151))),
+            ("(1103+sqrt(2))/151", "(46-sqrt(2))/14",
+             ((0, 1), (1, -7)), ((151, -1102), (47, -343))),
+            # odd L: det -1 first, a shift by one period flips it
+            ("sqrt(2)", "(2+sqrt(2))/2", ((1, 1), (1, 0)), ((2, 3), (1, 2))),
+            # even L: every alignment has det -1
+            ("sqrt(3)", "sqrt(3)/3", ((0, 1), (1, 0)), None),
+            ("sqrt(3)", "(1+sqrt(3))/2", ((0, 1), (1, -1)), None),
+            ("sqrt(7)", "sqrt(7)/7", ((0, 1), (1, 0)), None),
+            # L = 342
+            ("sqrt(100003)", "1+sqrt(100003)", ((1, 1), (0, 1)), ((1, 1), (0, 1))),
+            ("sqrt(100003)", "sqrt(100003)/100003", ((0, 1), (1, 0)), None),
+        ],
+    )
+    def test_rows(self, theta1, theta2, morita, sl2):
+        t1, t2 = TorusParameter(parse_surd(theta1)), TorusParameter(parse_surd(theta2))
+        assert morita_equivalent(t1, t2).rows() == morita
+        w = sl2_witness(t1, t2)
+        assert (w.rows() if w else None) == sl2
+
+    def test_no_surd_floor_in_search(self, monkeypatch):
+        # the search aligns period words; only expand_surd's integer
+        # recursion and the re-application check touch the values
+        def refuse(self):
+            raise AssertionError("QuadraticSurd.floor called")
+
+        monkeypatch.setattr(QuadraticSurd, "floor", refuse)
+        t1 = TorusParameter(QuadraticSurd.sqrt_of(100003))
+        t2 = TorusParameter(S(1, 1, 1, 100003))
+        for w in (morita_equivalent(t1, t2), sl2_witness(t1, t2)):
+            assert w is not None and w.det == 1
+            assert apply_mobius(w, t1).theta == t2.theta
