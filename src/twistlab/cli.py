@@ -254,6 +254,9 @@ def run_batch(entries: list) -> list:
         except DOMAIN_ERRORS as exc:
             return {"id": entry["id"], "status": "error",
                     "message": str(exc), "kind": type(exc).__name__}
+        except Exception as exc:  # a fault of the program: report it, keep going
+            return {"id": entry["id"], "status": "error",
+                    "message": f"{type(exc).__name__}: {exc}", "kind": "internal"}
 
     return [one(entry) for entry in entries]
 
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
                 raw = fh.read()
         try:
             payload = json.loads(raw) if raw is not None else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise UsageError(f"malformed JSON input: {exc}")
 
         emit(run_batch(payload) if opts.verb == "batch" else run_command(opts.verb, payload))

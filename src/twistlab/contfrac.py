@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator, Union
 
@@ -226,34 +227,23 @@ def value_of(cf: AnyCF) -> QuadraticSurd:
     return (y * n11 + n12) / (y * n21 + n22)
 
 
-def _terms_prefix(cf: AnyCF, count: int) -> list[int]:
+def convergents(cf: AnyCF, count: int) -> list[Convergent]:
+    """First `count` convergents p_k/q_k: the first column of the running
+    product of [[a, 1], [1, 0]] over the terms."""
+    if count < 1:
+        raise CFError("count must be positive")
     if isinstance(cf, FiniteCF):
         if count > len(cf.terms):
             raise CFError(
                 f"requested {count} terms, finite expansion has {len(cf.terms)}"
             )
-        return list(cf.terms[:count])
-    stream = cf.term_stream()
-    return [next(stream) for _ in range(count)]
-
-
-def convergents(cf: AnyCF, count: int) -> list[Convergent]:
-    """First `count` convergents p_k/q_k by the three-term recurrence."""
-    if count < 1:
-        raise CFError("count must be positive")
-    terms = _terms_prefix(cf, count)
+        terms = cf.terms
+    else:
+        terms = cf.term_stream()
     out = []
-    p_prev, q_prev = 1, 0
-    p, q = terms[0], 1
-    out.append(Convergent(p, q, 0))
-    for k, a in enumerate(terms[1:], start=1):
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for k, a in enumerate(islice(terms, count)):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         out.append(Convergent(p, q, k))
     return out
-
-
-def convergent_matrix(cf: AnyCF, k: int) -> tuple[int, int, int, int]:
-    """Prefix matrix C_k = [[p_{k-1}, p_{k-2}], [q_{k-1}, q_{k-2}]];
-    C_0 is the identity.  det C_k = (-1)^k."""
-    return _mobius_matrix(_terms_prefix(cf, k))

@@ -11,7 +11,7 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -101,11 +101,6 @@ class K0Element:
 @dataclass(frozen=True)
 class StationaryDimensionGroup:
     phi: Matrix
-    # rank 2: (2c, d - a, disc) with twice the Perron pairing of v equal
-    # to 2c*v0 + (d - a)*v1 + v1*sqrt(disc); see _left_perron_pairing
-    _perron_pairing: Optional[tuple[int, int, int]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def rank(self) -> int:
@@ -131,21 +126,7 @@ def from_matrix(phi) -> StationaryDimensionGroup:
         raise SingularMatrixError(f"singular matrix: {rows}")
     if not _is_primitive_matrix(rows):
         raise NotPrimitiveMatrixError(f"not primitive: {rows}")
-    pairing = _left_perron_pairing(rows) if n == 2 else None
-    return StationaryDimensionGroup(rows, pairing)
-
-
-def _left_perron_pairing(phi: Matrix) -> tuple[int, int, int]:
-    """Left eigenvector (w1, w2) of the Perron eigenvalue, exact.
-
-    For primitive [[a, b], [c, d]] both b, c > 0 and the eigenvalue is
-    lam = ((a+d) + sqrt((a-d)^2 + 4bc))/2 > a, so w = (c, lam - a) is
-    strictly positive.  Returned as the integers (2c, d - a, disc):
-    2*(w1*v0 + w2*v1) = 2c*v0 + (d - a)*v1 + v1*sqrt(disc), whose sign
-    needs no squarefree form of disc.
-    """
-    (a, b), (c, d) = phi
-    return 2 * c, d - a, (a - d) ** 2 + 4 * b * c
+    return StationaryDimensionGroup(rows)
 
 
 def from_cf_period(period) -> StationaryDimensionGroup:
@@ -184,18 +165,23 @@ def is_positive(
 ) -> Positivity:
     """Sign of the element in the limit order.
 
-    Rank 2: exact sign of the pairing with the left Perron eigenvector;
-    zero pairing on a nonzero vector is reported undecided rather than
-    silently classifying infinitesimals.  Rank > 2: capped iteration.
+    Rank 2: exact sign of the pairing with the left Perron eigenvector.
+    For primitive phi = [[a, b], [c, d]] both b, c > 0 and the eigenvalue
+    lam = ((a+d) + sqrt(disc))/2 with disc = (a-d)^2 + 4bc exceeds a, so
+    w = (c, lam - a) is strictly positive.  Twice its pairing with v is
+    2c*v0 + (d - a)*v1 + v1*sqrt(disc), whose sign needs no squarefree
+    form of disc.  A zero pairing on a nonzero vector is reported
+    undecided rather than silently classifying infinitesimals.
+    Rank > 2: capped iteration.
     """
-    if g._perron_pairing is None:
+    if g.rank != 2:
         return iteration_verdict(g, e, iteration_cap)
     _check_vector(g, e)
     v = e.vector
     if all(x == 0 for x in v):
         return Positivity.ZERO
-    two_c, d_minus_a, disc = g._perron_pairing
-    s = _sign2(two_c * v[0] + d_minus_a * v[1], v[1], disc)
+    (a, b), (c, d) = g.phi
+    s = _sign2(2 * c * v[0] + (d - a) * v[1], v[1], (a - d) ** 2 + 4 * b * c)
     if s > 0:
         return Positivity.STRICTLY_POSITIVE
     if s < 0:

@@ -101,45 +101,44 @@ def _rational_nth_root(f: Fraction, n: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+def _twist_parameter(e1: EllipticCurve, e2: EllipticCurve) -> Optional[Fraction]:
+    """The t with twist(e1, t) = e2 for curves whose A and B vanish
+    alike, or None when e2 lies outside e1's twist family (the generic-j
+    consistency check fails)."""
+    if e1.B == 0:  # j = 1728
+        return e2.A / e1.A
+    if e1.A == 0:  # j = 0
+        return e2.B / e1.B
+    t = (e2.B / e1.B) / (e2.A / e1.A)
+    return t if t * t == e2.A / e1.A and t**3 == e2.B / e1.B else None
+
+
 def q_isomorphic(
     e1: EllipticCurve, e2: EllipticCurve
 ) -> tuple[bool, Optional[Fraction]]:
     """Decide A2 = u^4 A1, B2 = u^6 B1 for some nonzero rational u.
 
     Returns (verdict, u) with u > 0 chosen when it exists (u and -u act
-    identically since only even powers appear).
+    identically since only even powers appear).  The scaling by u is the
+    twist by t = u^2 at generic j, by t = u^4 at j = 1728 (B = 0) and by
+    t = u^6 at j = 0 (A = 0).
     """
     if (e1.A == 0) != (e2.A == 0) or (e1.B == 0) != (e2.B == 0):
         return False, None
-    if e1.A == 0:
-        # single surviving equation u^6 = B2/B1
-        u = _rational_nth_root(e2.B / e1.B, 6)
-    elif e1.B == 0:
-        u = _rational_nth_root(e2.A / e1.A, 4)
-    else:
-        # generic: u^2 = (B2/B1)/(A2/A1), then both defining equations checked
-        u2 = (e2.B / e1.B) / (e2.A / e1.A)
-        if u2 <= 0 or u2**2 != e2.A / e1.A or u2**3 != e2.B / e1.B:
-            return False, None
-        u = _rational_nth_root(u2, 2)
+    t = _twist_parameter(e1, e2)
+    if t is None:
+        return False, None
+    u = _rational_nth_root(t, 4 if e1.B == 0 else 6 if e1.A == 0 else 2)
     return u is not None, u
 
 
 def twist_between(e1: EllipticCurve, e2: EllipticCurve) -> Optional[TwistParameter]:
     """The t with twist(e1, t) = e2, if e2 lies in e1's twist family.
 
-    Requires equal j-invariants; returns None for C-isomorphic pairs
-    outside the family (generic-j consistency check fails).
+    Requires equal j-invariants, which make A and B vanish alike; returns
+    None for C-isomorphic pairs outside the family.
     """
     if not c_isomorphic(e1, e2):
         raise CurveError("twist_between requires equal j-invariants")
-    if e1.B == 0:  # j = 1728
-        return TwistParameter(e2.A / e1.A)
-    if e1.A == 0:  # j = 0
-        return TwistParameter(e2.B / e1.B)
-    t = (e2.B / e1.B) / (e2.A / e1.A)
-    if t == 0:
-        return None
-    if t * t == e2.A / e1.A and t**3 == e2.B / e1.B:
-        return TwistParameter(t)
-    return None
+    t = _twist_parameter(e1, e2)
+    return TwistParameter(t) if t is not None else None

@@ -110,13 +110,8 @@ def _sign2(a: int, b: int, k: int) -> int:
 
 
 def _sign3(u: int, v: int, m: int, w: int, n: int) -> int:
-    """Sign of u + v*sqrt(m) + w*sqrt(n) for m, n >= 1."""
-    if m == 1:
-        return _sign2(u + v, w, n)
-    if n == 1:
-        return _sign2(u + w, v, m)
-    if m == n:
-        return _sign2(u, v + w, m)
+    """Sign of u + v*sqrt(m) + w*sqrt(n) for distinct squarefree
+    m, n >= 2, the only case compare() leaves to it."""
     # sign of the radical part v*sqrt(m) + w*sqrt(n): times sqrt(m), v*m + w*sqrt(mn)
     rad = _sign2(v * m, w, m * n)
     if rad == 0:
@@ -444,7 +439,10 @@ class _Scanner:
             raise SurdParseError("expected integer", self.pos)
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise SurdParseError(f"integer too long: {exc}", start)
 
     def try_keyword(self, word: str) -> bool:
         if self.text.startswith(word, self.pos):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contfrac import canonical_rotation, convergent_matrix, expand_surd, least_rotation
+from .contfrac import _mobius_matrix, canonical_rotation, expand_surd, least_rotation
 from .surd import QuadraticSurd
 
 
@@ -85,28 +85,31 @@ def morita_invariant(t: TorusParameter) -> tuple[int, ...]:
 
 
 def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
-    """(cf1, i, cf2, j) with equal complete quotients x_i of theta1 and
-    y_j of theta2, or None when the tail classes differ.
+    """(w1, w2, period): prefix words of theta1 and theta2 after which
+    both expansions continue with the same purely periodic tail, or None
+    when the tail classes differ.
 
-    x_i is purely periodic from i = |pre1| on; it equals y_j, j >= |pre2|,
-    when theta2's period rotated by j - |pre2| = k2 - k1 mod L is theta1's,
-    for the least-rotation offsets k1, k2.  Any earlier match lies on the
-    same diagonal i - j, so it gives the same witness."""
+    w1 is theta1's preperiod.  For the least-rotation offsets k1, k2,
+    theta2's period rotated by s = (k2 - k1) mod L is theta1's, so w2 is
+    theta2's preperiod followed by its first s period terms, and the
+    common tail has theta1's period.  Any shorter pair of such prefixes
+    differs in length by the same amount, so it gives the same witness."""
     cf1 = expand_surd(t1.theta)
     cf2 = expand_surd(t2.theta)
     p1, p2 = cf1.period, cf2.period
     k1, k2 = least_rotation(p1), least_rotation(p2)
     if p1[k1:] + p1[:k1] != p2[k2:] + p2[:k2]:
         return None
-    return cf1, len(cf1.preperiod), cf2, len(cf2.preperiod) + (k2 - k1) % len(p1)
+    return cf1.preperiod, cf2.preperiod + p2[: (k2 - k1) % len(p1)], p1
 
 
-def _witness(cf1, i: int, cf2, j: int) -> UnimodularWitness:
-    """C_j(theta2) * C_i(theta1)^-1, which maps theta1 = C_i(x_i) to
-    theta2 = C_j(y_j) when x_i = y_j; its determinant is (-1)^(i + j)."""
-    c1 = UnimodularWitness(*convergent_matrix(cf1, i))
-    c2 = UnimodularWitness(*convergent_matrix(cf2, j))
-    return c2 @ c1.inverse()
+def _witness(w1, w2) -> UnimodularWitness:
+    """M(w2) * M(w1)^-1 for the Mobius matrices M of the prefix words: it
+    maps theta1 = M(w1)(x) to theta2 = M(w2)(x) for their common tail x;
+    its determinant is (-1)^(|w1| + |w2|)."""
+    m1 = UnimodularWitness(*_mobius_matrix(w1))
+    m2 = UnimodularWitness(*_mobius_matrix(w2))
+    return m2 @ m1.inverse()
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
@@ -119,22 +122,22 @@ def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[Unimod
     """A verified witness of determinant +-1, or None when the tail
     classes differ."""
     found = _tail_offsets(t1, t2)
-    return _verified(_witness(*found), t1, t2) if found else None
+    return _verified(_witness(*found[:2]), t1, t2) if found else None
 
 
 def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
     """A verified witness of determinant exactly +1, or None.
 
-    Shifting the alignment offset by one period flips the witness parity
+    Extending theta2's prefix word by one period flips the witness parity
     when the period length is odd; for even period lengths the parity is
     fixed, so a +1 witness may genuinely not exist.
     """
     found = _tail_offsets(t1, t2)
     if not found:
         return None
-    cf1, i, cf2, j = found
-    if (i + j) % 2:
-        if len(cf1.period) % 2 == 0:
+    w1, w2, period = found
+    if (len(w1) + len(w2)) % 2:
+        if len(period) % 2 == 0:
             return None
-        j += len(cf1.period)
-    return _verified(_witness(cf1, i, cf2, j), t1, t2)
+        w2 += period
+    return _verified(_witness(w1, w2), t1, t2)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from twistlab.cli import UsageError, main, run_batch, run_command
+import twistlab
+from twistlab.cli import VERBS, UsageError, main, run_batch, run_command
 from twistlab.surd import QuadraticSurd, parse_surd
 
 
@@ -155,6 +158,30 @@ class TestBatch:
         assert got[0]["status"] == "error" and got[0]["kind"] == "usage"
         assert got[1] == {"id": "ok", "status": "ok", "result": {"value": "1+sqrt(2)"}}
 
+    def test_huge_surd_literal_entry_is_isolated(self):
+        req = [
+            {"id": "big", "verb": "cf.expand", "args": {"theta": "7" * 5000}},
+            {"id": "ok", "verb": "curve.j", "args": {"A": "1", "B": "0"}},
+        ]
+        got = run_batch(req)
+        assert len(got) == 2
+        assert got[0]["status"] == "error" and got[0]["kind"] == "SurdParseError"
+        assert got[1] == {"id": "ok", "status": "ok", "result": {"j": "1728"}}
+
+    def test_handler_fault_is_reported_as_internal(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(VERBS, "curve.j", broken)
+        req = [
+            {"id": "a", "verb": "curve.j", "args": {"A": "1", "B": "0"}},
+            {"id": "b", "verb": "torus.invariant", "args": {"theta": "sqrt(2)"}},
+        ]
+        got = run_batch(req)
+        assert got[0] == {"id": "a", "status": "error",
+                          "message": "RuntimeError: boom", "kind": "internal"}
+        assert got[1] == {"id": "b", "status": "ok", "result": {"invariant": [2]}}
+
 
 class TestStrictIntegers:
     def test_float_period_rejected(self):
@@ -217,6 +244,19 @@ class TestMainExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "SingularCurveError"
 
+    def test_huge_json_integer_is_usage_error(self, capsys):
+        args = '{"terms": [1], "count": %s}' % ("7" * 5000)
+        code, out, err = run_main(["cf.convergents", args], capsys)
+        assert code == 1 and out == ""
+        assert "malformed JSON input" in err
+
+    def test_huge_surd_literal_is_domain_error(self, capsys):
+        theta = "(1+sqrt(" + "7" * 5000 + "))/2"
+        code, out, _ = run_main(["cf.expand", json.dumps({"theta": theta})], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "SurdParseError" and error["message"].endswith("(column 8)")
+
     def test_batch_with_entry_error_exits_zero(self, tmp_path, capsys):
         req = [
             {"id": "ok", "verb": "torus.invariant", "args": {"theta": "sqrt(2)"}},
@@ -267,10 +307,14 @@ class TestDeterminismAndRoundTrip:
 
 
 def test_console_entry_point_runs():
+    # the child imports the same twistlab as the tests, installed or not
+    src = str(Path(twistlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "twistlab.cli", "curve.j", '{"A": "0", "B": "1"}'],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"j": "0"}

@@ -134,11 +134,19 @@ class TestQIsomorphic:
             assert ok13 and w13 == w * 2
 
     def test_trivial_twist_law_generic_j(self):
-        e = E(1, 1)
-        for t in [F(1), F(-1), F(2), F(-2), F(4), F(9), F(8), F(16)]:
-            is_square = t > 0 and Fraction(t).numerator == int(t.numerator**0.5 + 0.5) ** 2
-            ok, _ = q_isomorphic(e, twist(e, TwistParameter(t)))
-            assert ok == is_square
+        # twist(e, t) is Q-isomorphic to e exactly when t is a positive n-th
+        # power: n = 2 at generic j, 4 at j = 1728 (B = 0), 6 at j = 0 (A = 0)
+        def is_nth_power(m, n):
+            return any(k**n == m for k in range(m + 1))
+
+        ts = [F(1), F(-1), F(2), F(-2), F(4), F(9), F(8), F(16), F(-16), F(9, 4),
+              F(16, 81), F(81, 4), F(64), F(-64), F(729), F(1, 64), F(4, 9), F(27, 8)]
+        for e, n in [(E(1, 1), 2), (E(1, 0), 4), (E(0, 1), 6)]:
+            for t in ts:
+                is_power = t > 0 and is_nth_power(t.numerator, n) and is_nth_power(t.denominator, n)
+                ok, u = q_isomorphic(e, twist(e, TwistParameter(t)))
+                assert ok == is_power, (e, t)
+                assert (u is None) if not ok else (u > 0 and u**n == t)
 
 
 class TestTwistBetween:

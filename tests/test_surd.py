@@ -1,4 +1,7 @@
 
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +37,19 @@ def surds_in(d, max_coeff=30):
         st.integers(1, max_coeff),
         st.just(d),
     )
+
+
+SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 30, 1003)
+CROSS_FIELDS = [(m, n) for m in SQUAREFREE for n in SQUAREFREE if m != n]
+
+
+def bracket(x, digits=60):
+    """Rationals lo < x < hi, 10^-digits/r apart, from an integer square
+    root of q^2*d scaled by 10^(2*digits)."""
+    scale = 10**digits
+    s = isqrt(x.q * x.q * x.d * scale * scale)
+    lo, hi = (s, s + 1) if x.q > 0 else (-s - 1, -s)
+    return Fraction(x.p * scale + lo, x.r * scale), Fraction(x.p * scale + hi, x.r * scale)
 
 
 class TestNormalize:
@@ -150,6 +166,18 @@ class TestOrder:
     @given(surds(), surds())
     def test_canonical_equality_matches_compare(self, x, y):
         assert (x == y) == (x.compare(y) == 0)
+
+    @given(st.data())
+    def test_cross_field_order_matches_decimal_brackets(self, data):
+        m, n = data.draw(st.sampled_from(CROSS_FIELDS))
+        x, y = (data.draw(surds_in(d, 10**4).filter(lambda s: not s.is_rational)) for d in (m, n))
+        x_lo, x_hi = bracket(x)
+        y_lo, y_hi = bracket(y)
+        # distinct fields never give equal values, and these are far
+        # more than 10^-60 apart, so one bracket lies below the other
+        assert x_hi < y_lo or y_hi < x_lo
+        assert x.compare(y) == (-1 if x_hi < y_lo else 1)
+        assert y.compare(x) == -x.compare(y)
 
     @given(surds(), surds(), surds())
     def test_total_order_transitive(self, x, y, z):
