@@ -110,8 +110,19 @@ def _cmd_cf_value(args: dict) -> dict:
 
 
 def _cmd_cf_convergents(args: dict) -> dict:
-    convs = contfrac.convergents(_cf_from_args(args), _int(_arg(args, "count"), "count"))
-    return {"convergents": [f"{c.p}/{c.q}" for c in convs]}
+    cf = _cf_from_args(args)
+    count = _int(_arg(args, "count"), "count")
+    if count > sys.maxsize:
+        raise UsageError(f"count must be at most {sys.maxsize}, got {count}")
+    out = []
+    # q_k >= F_(k+1), so a long expansion reaches the interpreter's digit
+    # limit for printing after about 20k terms; stop at the first such one
+    for c in contfrac.iter_convergents(cf, count):
+        try:
+            out.append(f"{c.p}/{c.q}")
+        except ValueError as exc:
+            raise contfrac.CFError(f"convergent {c.index} is too long to print: {exc}")
+    return {"convergents": out}
 
 
 def _cmd_torus_morita(args: dict) -> dict:

@@ -2,8 +2,10 @@
 
 Rationals get finite expansions via the Euclidean algorithm.  Quadratic
 irrationals get eventually periodic expansions via the exact (P, Q)
-state recursion for (P + sqrt(D))/Q, with the period detected on the
-first repeated state, which makes it minimal.
+state recursion for (P + sqrt(D))/Q.  By Galois's theorem a complete
+quotient has a purely periodic expansion exactly when it is reduced
+(greater than 1, conjugate in (-1, 0)), so the minimal preperiod ends at
+the first reduced state and the minimal period at that state's return.
 """
 
 from __future__ import annotations
@@ -26,11 +28,19 @@ class NotPrimitiveError(CFError):
 
 
 def is_primitive(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    for ell in range(1, n):
-        if n % ell == 0 and word == word[:ell] * (n // ell):
-            return False
-    return True
+    """False exactly when the word is a proper power u^e, e > 1; then it
+    is also (u^(e/p))^p for each prime p | e, so only the primes dividing
+    the length need checking."""
+    n = m = len(word)
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            if word[: n // p] * p == word:
+                return False
+            while m % p == 0:
+                m //= p
+        p += 1
+    return m < 2 or word[: n // m] * m != word
 
 
 def canonical_rotation(period) -> tuple[int, ...]:
@@ -46,25 +56,28 @@ def canonical_rotation(period) -> tuple[int, ...]:
 
 def least_rotation(word) -> int:
     """First offset k at which word[k:] + word[:k] is lexicographically
-    least, in O(len(word)): Booth's algorithm (1980), a failure function
-    over the doubled word that restarts at each better candidate."""
-    s = tuple(word) * 2
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c == s[k + i + 1]:
-            fail[j - k] = i + 1
-        else:  # i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-    return k
+    least, in O(len(word)): Shiloach's two-pointer scan (1981).  The
+    rotations at candidates i < j agree on k terms; on a mismatch, the
+    candidate with the larger term and the k offsets after it each start
+    a larger rotation than their counterparts after the other candidate,
+    so all k + 1 are discarded."""
+    s = tuple(word)
+    n = len(s)
+    s += s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+            if i >= j:  # keep i < j
+                i, j = j, max(i, j + 1)
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 @dataclass(frozen=True)
@@ -105,9 +118,9 @@ class EventuallyPeriodicCF:
             raise CFError("period must be nonempty")
         if not is_primitive(self.period):
             raise NotPrimitiveError(f"period not primitive: {self.period}")
-        if any(b < 1 for b in self.period):
+        if min(self.period) < 1:
             raise CFError("period terms must be >= 1")
-        if any(a < 1 for a in self.preperiod[1:]):
+        if len(self.preperiod) > 1 and min(self.preperiod[1:]) < 1:
             raise CFError("terms after a0 must be >= 1")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise CFError("preperiod not minimal: last term absorbs into period")
@@ -147,17 +160,6 @@ def expand_rational(x) -> FiniteCF:
     return FiniteCF(tuple(terms))
 
 
-def _floor_pq(P: int, D: int, Q: int) -> int:
-    """floor((P + sqrt(D))/Q) for irrational sqrt(D), any sign of Q."""
-    root = isqrt(D)
-    if Q > 0:
-        return (P + root) // Q
-    # Q < 0: the value lies strictly between P+root and P+root+1, and no
-    # integer multiple of |Q| sits in that open interval, so the floor is
-    # the floor at the right endpoint.
-    return (P + root + 1) // Q
-
-
 def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
     """Minimal-preperiod, minimal-period expansion of an irrational surd.
 
@@ -165,8 +167,12 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
         a = floor((P + sqrt(D))/Q)
         P' = a*Q - P
         Q' = (D - P'^2)/Q
-    With D fixed, the state (P, Q) determines the remainder value, so
-    the first repeated state marks the minimal period.
+    With D fixed, the state (P, Q) determines the remainder value.  A
+    state is reduced (value > 1, conjugate in (-1, 0)) exactly when
+    0 < P <= isqrt(D) and isqrt(D) - P < Q <= isqrt(D) + P, and by
+    Galois's theorem exactly the reduced states have purely periodic
+    expansions: the preperiod ends at the first reduced state and the
+    period ends when that state comes back.
     """
     if x.is_rational:
         raise CFError("rational input: use expand_rational")
@@ -178,16 +184,26 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
     if (D - P * P) % Q != 0:
         scale = abs(Q)
         P, Q, D = P * scale, Q * scale, D * scale * scale
+    root = isqrt(D)
     terms: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(terms)
-        a = _floor_pq(P, D, Q)
+    while not (0 < P <= root and root - P < Q <= root + P):
+        # Q < 0: the value lies strictly between P+root and P+root+1, and no
+        # integer multiple of |Q| sits in that open interval, so the floor is
+        # the floor at the right endpoint.
+        a = (P + root) // Q if Q > 0 else (P + root + 1) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-    start = seen[(P, Q)]
-    return EventuallyPeriodicCF(tuple(terms[:start]), tuple(terms[start:]))
+    preperiod = tuple(terms)
+    terms = []
+    P0, Q0 = P, Q
+    while True:
+        a = (P + root) // Q
+        terms.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if P == P0 and Q == Q0:
+            return EventuallyPeriodicCF(preperiod, tuple(terms))
 
 
 def _mobius_matrix(terms) -> tuple[int, int, int, int]:
@@ -227,9 +243,10 @@ def value_of(cf: AnyCF) -> QuadraticSurd:
     return (y * n11 + n12) / (y * n21 + n22)
 
 
-def convergents(cf: AnyCF, count: int) -> list[Convergent]:
-    """First `count` convergents p_k/q_k: the first column of the running
-    product of [[a, 1], [1, 0]] over the terms."""
+def iter_convergents(cf: AnyCF, count: int) -> Iterator[Convergent]:
+    """First `count` convergents p_k/q_k, each as it is produced: the
+    first column of the running product of [[a, 1], [1, 0]] over the
+    terms."""
     if count < 1:
         raise CFError("count must be positive")
     if isinstance(cf, FiniteCF):
@@ -240,10 +257,13 @@ def convergents(cf: AnyCF, count: int) -> list[Convergent]:
         terms = cf.terms
     else:
         terms = cf.term_stream()
-    out = []
     p, p_prev, q, q_prev = 1, 0, 0, 1
     for k, a in enumerate(islice(terms, count)):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Convergent(p, q, k))
-    return out
+        yield Convergent(p, q, k)
+
+
+def convergents(cf: AnyCF, count: int) -> list[Convergent]:
+    """First `count` convergents p_k/q_k."""
+    return list(iter_convergents(cf, count))

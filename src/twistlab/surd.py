@@ -419,8 +419,10 @@ class _Scanner:
         self.pos = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -432,15 +434,18 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.peek() in ("+", "-"):
-            self.pos += 1
-        if not self.peek().isdigit():
-            raise SurdParseError("expected integer", self.pos)
-        while self.peek().isdigit():
-            self.pos += 1
+        text = self.text
+        start = pos = self.pos
+        if text.startswith(("+", "-"), pos):
+            pos += 1
+        end = pos
+        while end < len(text) and text[end].isdigit():
+            end += 1
+        if end == pos:
+            raise SurdParseError("expected integer", pos)
+        self.pos = end
         try:
-            return int(self.text[start:self.pos])
+            return int(text[start:end])
         except ValueError as exc:  # beyond the interpreter's digit limit
             raise SurdParseError(f"integer too long: {exc}", start)
 

@@ -10,9 +10,10 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .contfrac import _mobius_matrix, canonical_rotation, expand_surd, least_rotation
+from .contfrac import EventuallyPeriodicCF, _mobius_matrix, expand_surd, least_rotation
 from .surd import QuadraticSurd
 
 
@@ -27,6 +28,18 @@ class TorusParameter:
     def __post_init__(self):
         if self.theta.is_rational:
             raise TorusError("rotation parameter must be irrational")
+
+    # cached_property writes the instance __dict__ directly, which a
+    # frozen dataclass allows: each parameter is expanded and its period
+    # rotated at most once, however many verbs ask.
+    @cached_property
+    def expansion(self) -> EventuallyPeriodicCF:
+        return expand_surd(self.theta)
+
+    @cached_property
+    def rotation(self) -> int:
+        """Least-rotation offset of the (primitive) period."""
+        return least_rotation(self.expansion.period)
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,8 @@ def isomorphic(t1: TorusParameter, t2: TorusParameter) -> bool:
 def morita_invariant(t: TorusParameter) -> tuple[int, ...]:
     """Canonical rotation of the minimal period: the normal form of the
     infinite tail class."""
-    return canonical_rotation(expand_surd(t.theta).period)
+    p, k = t.expansion.period, t.rotation
+    return p[k:] + p[:k]
 
 
 def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
@@ -94,10 +108,9 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     theta2's preperiod followed by its first s period terms, and the
     common tail has theta1's period.  Any shorter pair of such prefixes
     differs in length by the same amount, so it gives the same witness."""
-    cf1 = expand_surd(t1.theta)
-    cf2 = expand_surd(t2.theta)
+    cf1, cf2 = t1.expansion, t2.expansion
     p1, p2 = cf1.period, cf2.period
-    k1, k2 = least_rotation(p1), least_rotation(p2)
+    k1, k2 = t1.rotation, t2.rotation
     if p1[k1:] + p1[:k1] != p2[k2:] + p2[:k2]:
         return None
     return cf1.preperiod, cf2.preperiod + p2[: (k2 - k1) % len(p1)], p1

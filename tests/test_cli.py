@@ -183,6 +183,30 @@ class TestBatch:
         assert got[1] == {"id": "b", "status": "ok", "result": {"invariant": [2]}}
 
 
+    def test_convergent_counts_past_bounds(self, low_digit_limit):
+        req = [
+            {"id": "huge", "verb": "cf.convergents",
+             "args": {"period": [1], "count": "100000000000000000000"}},
+            {"id": "long", "verb": "cf.convergents", "args": {"period": [1], "count": 25000}},
+            {"id": "ok", "verb": "cf.convergents", "args": {"period": [1], "count": 3}},
+        ]
+        huge, long, ok = run_batch(req)
+        assert huge["status"] == "error" and huge["kind"] == "usage"
+        assert long["status"] == "error" and long["kind"] == "CFError"
+        assert long["message"].startswith("convergent 3063 is too long to print")
+        assert ok["result"] == {"convergents": ["1/1", "2/1", "3/2"]}
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The interpreter's least digit limit for int-to-str: convergents of
+    [; (1)] pass it after 3063 terms, not 20576, so the test stays fast."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 class TestStrictIntegers:
     def test_float_period_rejected(self):
         with pytest.raises(UsageError):
@@ -249,6 +273,21 @@ class TestMainExitCodes:
         code, out, err = run_main(["cf.convergents", args], capsys)
         assert code == 1 and out == ""
         assert "malformed JSON input" in err
+
+    def test_count_past_maxsize_is_usage_error(self, capsys):
+        args = '{"period": [1], "count": "100000000000000000000"}'
+        code, out, err = run_main(["cf.convergents", args], capsys)
+        assert code == 1 and out == ""
+        assert "count must be at most" in err
+
+    def test_convergent_too_long_to_print_is_domain_error(self, capsys):
+        # at the default limit of 4300 digits: q_k >= F_(k+1) stops this near
+        # 20.6k terms, whatever the count
+        code, out, _ = run_main(["cf.convergents", '{"period": [1], "count": 25000}'], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "CFError"
+        assert error["message"].startswith("convergent 20576 is too long to print")
 
     def test_huge_surd_literal_is_domain_error(self, capsys):
         theta = "(1+sqrt(" + "7" * 5000 + "))/2"

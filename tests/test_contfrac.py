@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from twistlab.contfrac import (
     expand_rational,
     expand_surd,
     is_primitive,
+    least_rotation,
     value_of,
 )
 from twistlab.surd import QuadraticSurd
@@ -32,6 +34,24 @@ def irrational_surds(max_coeff=50, max_d=200):
         st.integers(1, max_coeff),
         st.sampled_from(nonsquare),
     ).filter(lambda x: not x.is_rational)
+
+
+def naive_split(x: QuadraticSurd):
+    """(preperiod, period) by floor-and-invert in surd arithmetic, split at
+    the first complete quotient that comes back."""
+    seen, terms = {}, []
+    while x not in seen:
+        seen[x] = len(terms)
+        a = x.floor()
+        terms.append(a)
+        x = (x - a).invert()
+    start = seen[x]
+    return tuple(terms[:start]), tuple(terms[start:])
+
+
+def all_divisors_primitive(word) -> bool:
+    n = len(word)
+    return not any(n % ell == 0 and word == word[:ell] * (n // ell) for ell in range(1, n))
 
 
 class TestCanonicalForms:
@@ -110,6 +130,19 @@ class TestExpandSurd:
         stream = cf.term_stream()
         got = [next(stream) for _ in range(60)]
         assert got == naive_cf_terms(x, 60)
+
+    # r up to 1000 makes Q not divide D - P^2 for most draws, so D is scaled
+    @given(st.builds(
+        S,
+        st.integers(-10**4, 10**4),
+        st.integers(-9, 9).filter(lambda q: q != 0),
+        st.integers(1, 1000),
+        st.sampled_from([d for d in range(2, 61) if int(d**0.5) ** 2 != d]),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_split_matches_first_repeated_complete_quotient(self, x):
+        cf = expand_surd(x)
+        assert (cf.preperiod, cf.period) == naive_split(x)
 
     def test_expansion_of_value_is_identity(self):
         for cf in [
@@ -195,6 +228,41 @@ class TestCanonicalRotation:
         assert base == min(word[i:] + word[:i] for i in range(len(word)))
         for i in range(len(word)):
             assert canonical_rotation(word[i:] + word[:i]) == base
+
+
+class TestLeastRotation:
+    # e > 1 draws imprimitive words, whose least rotation occurs e times
+    @given(st.lists(st.integers(1, 3), max_size=40), st.integers(1, 4))
+    @settings(max_examples=300)
+    def test_first_least_offset(self, word, e):
+        w = tuple(word[: 40 // e]) * e
+        expected = min(range(len(w)), key=lambda i: w[i:] + w[:i]) if w else 0
+        assert least_rotation(w) == expected
+
+    def test_linear_time(self):
+        # one late minimum after a long run of equal terms: a quadratic scan
+        # takes 100x longer on the 10x longer word
+        def best_time(n):
+            word = (1,) * (n - 1) + (2,)
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                assert least_rotation(word) == 0
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        assert best_time(34200) < 20 * best_time(3420)
+
+
+class TestIsPrimitive:
+    @given(st.lists(st.integers(1, 2), max_size=24), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_matches_all_divisors(self, word, e):
+        w = tuple(word[: 24 // e]) * e
+        assert is_primitive(w) == all_divisors_primitive(w)
+
+    def test_empty_and_single_words_are_primitive(self):
+        assert is_primitive(()) and is_primitive((7,))
 
 
 class TestPeriodMinimality:

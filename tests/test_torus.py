@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from twistlab import torus
+from twistlab.cli import run_batch
 from twistlab.surd import QuadraticSurd, parse_surd
 from twistlab.torus import (
     TorusError,
@@ -143,6 +145,43 @@ class TestMoritaInvariant:
         for _ in range(30):
             t = apply_mobius(random_word(rng), base)
             assert morita_invariant(t) == expected
+
+
+class TestOneExpansionPerParameter:
+    """Each parameter of a request is expanded and its period rotated
+    once, however many of its verbs' steps read them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"expand_surd": 0, "least_rotation": 0}
+        for name in counts:
+            original = getattr(torus, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(torus, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("theta2", ["1+sqrt(100003)", "sqrt(7)"])
+    def test_morita_entry(self, calls, theta2):
+        entry = {"id": 1, "verb": "torus.morita",
+                 "args": {"theta1": "sqrt(100003)", "theta2": theta2}}
+        assert run_batch([entry])[0]["status"] == "ok"
+        assert calls == {"expand_surd": 2, "least_rotation": 2}
+
+    def test_invariant_entry(self, calls):
+        entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
+        assert run_batch([entry])[0]["result"] == {"invariant": [1]}
+        assert calls == {"expand_surd": 1, "least_rotation": 1}
+
+    def test_verbs_share_the_expansions(self, calls):
+        t1, t2 = TorusParameter(S(0, 1, 1, 19)), TorusParameter(S(3, 1, 2, 19))
+        assert morita_equivalent(t1, t2) is not None
+        sl2_witness(t1, t2)
+        morita_invariant(t2)
+        assert calls == {"expand_surd": 2, "least_rotation": 2}
 
 
 class TestAgainstBruteForce:
