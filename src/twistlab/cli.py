@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -45,13 +44,6 @@ def _surd_arg(args: dict, key: str) -> QuadraticSurd:
     return parse_surd(str(_arg(args, key)))
 
 
-def _fraction_arg(args: dict, key: str) -> Fraction:
-    try:
-        return Fraction(str(_arg(args, key)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"argument '{key}' is not an exact rational: {exc}")
-
-
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -66,6 +58,26 @@ def _int(value, what: str) -> int:
         except ValueError as exc:  # beyond the interpreter's digit limit
             raise UsageError(f"{what}: {exc}")
     raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+_FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _fraction_arg(args: dict, key: str) -> Fraction:
+    """A JSON integer or a string n or n/m of decimal digits, each part
+    decoded by _int; decimals, exponents, underscores, spaces and floats
+    are usage errors."""
+    value = _arg(args, key)
+    if type(value) is int:
+        return Fraction(value)
+    match = _FRACTION_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if not match:
+        raise UsageError(f"argument '{key}' must be an integer or n/m, got {value!r}")
+    num = _int(match[1], f"argument '{key}'")
+    den = _int(match[2] or "1", f"argument '{key}'")
+    if den == 0:
+        raise UsageError(f"argument '{key}' has a zero denominator")
+    return Fraction(num, den)
 
 
 def _shaped(value, kind: type, what: str):
@@ -159,10 +171,6 @@ def _cmd_dimgroup_from_period(args: dict) -> dict:
     }
 
 
-def _iter_cap() -> int:
-    return _int(os.environ.get("TWISTLAB_ITER_CAP") or "64", "TWISTLAB_ITER_CAP")
-
-
 def _group_from_args(args: dict) -> dimgroup.StationaryDimensionGroup:
     if "period" in args:
         return dimgroup.from_cf_period(_ints(args["period"], "period"))
@@ -178,8 +186,7 @@ def _element(spec: dict, what: str = "") -> dimgroup.K0Element:
 
 def _cmd_dimgroup_positive(args: dict) -> dict:
     g = _group_from_args(args)
-    verdict = dimgroup.is_positive(g, _element(args), iteration_cap=_iter_cap())
-    return {"verdict": verdict.value}
+    return {"verdict": dimgroup.is_positive(g, _element(args)).value}
 
 
 def _cmd_dimgroup_compare(args: dict) -> dict:
@@ -192,13 +199,20 @@ def _curve(args: dict, a_key: str = "A", b_key: str = "B") -> elliptic.EllipticC
     return elliptic.EllipticCurve(_fraction_arg(args, a_key), _fraction_arg(args, b_key))
 
 
+def _curve_text(x: Fraction) -> str:
+    try:
+        return str(x)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise elliptic.CurveError(f"result too long to print: {exc}")
+
+
 def _cmd_curve_j(args: dict) -> dict:
-    return {"j": str(elliptic.j_invariant(_curve(args)))}
+    return {"j": _curve_text(elliptic.j_invariant(_curve(args)))}
 
 
 def _cmd_curve_twist(args: dict) -> dict:
     e = elliptic.twist(_curve(args), elliptic.TwistParameter(_fraction_arg(args, "t")))
-    return {"A": str(e.A), "B": str(e.B)}
+    return {"A": _curve_text(e.A), "B": _curve_text(e.B)}
 
 
 def _cmd_curve_iso(args: dict) -> dict:
@@ -208,13 +222,13 @@ def _cmd_curve_iso(args: dict) -> dict:
     return {
         "c_isomorphic": elliptic.c_isomorphic(e1, e2),
         "q_isomorphic": q_iso,
-        "u": str(u) if u is not None else None,
+        "u": _curve_text(u) if u is not None else None,
     }
 
 
 def _cmd_curve_twist_between(args: dict) -> dict:
     t = elliptic.twist_between(_curve(args, "A1", "B1"), _curve(args, "A2", "B2"))
-    return {"t": str(t.t) if t is not None else None}
+    return {"t": _curve_text(t.t) if t is not None else None}
 
 
 VERBS = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, isqrt
 from typing import Iterator, Union
 
@@ -25,6 +25,13 @@ class CFError(ValueError):
 
 class NotPrimitiveError(CFError):
     """A period word that is a power of a shorter word."""
+
+
+# Most terms expand_surd produces, preperiod and period together: about
+# 0.3 s of the state recursion.  The period of sqrt(d) has up to about
+# sqrt(d) terms (532572 at d = 10^12 + 39); the tests and the benchmark
+# stay below 400.
+TERM_BUDGET = 10**6
 
 
 def is_primitive(word: tuple[int, ...]) -> bool:
@@ -172,7 +179,8 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
     0 < P <= isqrt(D) and isqrt(D) - P < Q <= isqrt(D) + P, and by
     Galois's theorem exactly the reduced states have purely periodic
     expansions: the preperiod ends at the first reduced state and the
-    period ends when that state comes back.
+    period ends when that state comes back.  An expansion of more than
+    TERM_BUDGET terms in all raises CFError.
     """
     if x.is_rational:
         raise CFError("rational input: use expand_rational")
@@ -186,7 +194,9 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
         P, Q, D = P * scale, Q * scale, D * scale * scale
     root = isqrt(D)
     terms: list[int] = []
-    while not (0 < P <= root and root - P < Q <= root + P):
+    for _ in repeat(None, TERM_BUDGET):
+        if 0 < P <= root and root - P < Q <= root + P:
+            break
         # Q < 0: the value lies strictly between P+root and P+root+1, and no
         # integer multiple of |Q| sits in that open interval, so the floor is
         # the floor at the right endpoint.
@@ -194,16 +204,19 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
+    else:
+        raise CFError(f"expansion longer than the budget of {TERM_BUDGET} terms")
     preperiod = tuple(terms)
     terms = []
     P0, Q0 = P, Q
-    while True:
+    for _ in repeat(None, TERM_BUDGET - len(preperiod)):
         a = (P + root) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
             return EventuallyPeriodicCF(preperiod, tuple(terms))
+    raise CFError(f"expansion longer than the budget of {TERM_BUDGET} terms")
 
 
 def _mobius_matrix(terms) -> tuple[int, int, int, int]:

@@ -3,20 +3,23 @@
 A group is the inductive limit of Z^n --phi--> Z^n --phi--> ... for a
 primitive nonnegative integer matrix phi with nonzero determinant.
 Elements are (vector, stage) pairs identified by forward pushing.
-Positivity for rank 2 is decided exactly through the left
-Perron-Frobenius eigenvector, as the sign of an integer a + b*sqrt(k);
-higher ranks fall back to a capped iteration with an honest undecided
-verdict.
+The order is the sign of the pairing <w, v> with the left
+Perron-Frobenius eigenvector w (Effros, Dimensions and C*-algebras,
+CBMS 46), decided exactly at every rank: by a few pushes of v when
+they make it entrywise signed, else by a Sturm-Tarski query at the
+Perron root; "undecided" means a zero pairing on a nonzero vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .contfrac import _fixed_point, _mobius_matrix, is_primitive as word_is_primitive
-from .surd import QuadraticSurd, _sign2
+from .surd import QuadraticSurd
 from . import torus
 
 
@@ -160,28 +163,119 @@ def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> 
     return v == hi.vector
 
 
-def is_positive(
-    g: StationaryDimensionGroup, e: K0Element, iteration_cap: int = 64
-) -> Positivity:
-    """Sign of the element in the limit order.
+def _signed(v: tuple[int, ...]) -> int:
+    """1 if v is entrywise positive, -1 if entrywise negative, else 0."""
+    if min(v) > 0:
+        return 1
+    if max(v) < 0:
+        return -1
+    return 0
 
-    Rank 2: exact sign of the pairing with the left Perron eigenvector.
-    For primitive phi = [[a, b], [c, d]] both b, c > 0 and the eigenvalue
-    lam = ((a+d) + sqrt(disc))/2 with disc = (a-d)^2 + 4bc exceeds a, so
-    w = (c, lam - a) is strictly positive.  Twice its pairing with v is
-    2c*v0 + (d - a)*v1 + v1*sqrt(disc), whose sign needs no squarefree
-    form of disc.  A zero pairing on a nonzero vector is reported
-    undecided rather than silently classifying infinitesimals.
-    Rank > 2: capped iteration.
+
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, as a primitive
+    integer coefficient list (leading coefficient first, none zero)."""
+    lead, sign = abs(b[0]), (b[0] > 0) - (b[0] < 0)
+    r = list(a)
+    while len(r) >= len(b):
+        f = sign * r[0]
+        r = [lead * x - f * y for x, y in zip(r[1:], b[1:])] + [lead * x for x in r[len(b):]]
+    while r and r[0] == 0:
+        del r[0]
+    content = gcd(*r)
+    return [x // content for x in r]
+
+
+def _remainders(p: list[int], q: list[int]) -> list[list[int]]:
+    """The signed remainder sequence p, q, -rem(p, q), ..., each term
+    up to a positive factor, which keeps every sign variation."""
+    seq = [p, q]
+    while seq[-1]:
+        seq.append([-x for x in _rem(seq[-2], seq[-1])])
+    return seq[:-1]
+
+
+def _scaled_value(poly: list[int], x: Fraction) -> int:
+    """poly(x) times the positive denominator**degree of x."""
+    y, scale = 0, 1
+    for c in poly:
+        y = y * x.numerator + c * scale
+        scale *= x.denominator
+    return y
+
+
+def _variations(seq: list[list[int]], x: Optional[Fraction]) -> int:
+    """Sign changes along seq at x (None is +infinity), zeros skipped."""
+    values = [poly[0] if x is None else _scaled_value(poly, x) for poly in seq]
+    signs = [y > 0 for y in values if y]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _perron_sign(phi: Matrix, v: tuple[int, ...]) -> int:
+    """Sign of <w, v>: the sign of g at the Perron root lam of chi, where
+    chi(x) = det(xI - phi) and g(x) is the first entry of adj(xI - phi) v.
+
+    At the simple root lam, adj(lam I - phi) = chi'(lam) r w^T / <w, r>
+    with chi'(lam) > 0 and r, w > 0, so g(lam) has the sign of <w, v>.
+    Faddeev-LeVerrier gives chi and adj(xI - phi) = sum M_k x^(n-k)
+    together, in integers.  Every eigenvalue lies in (-b, b) for b one
+    more than the largest row sum, and lam exceeds every other real
+    root, so bisection with the Sturm sequence of chi finds a point lo
+    with lam the only root above it, in a number of steps that grows
+    with the bit size of phi, not with its spectral gap.  The
+    Sturm-Tarski query of g on (lo, +infinity) is then sign g(lam).
     """
-    if g.rank != 2:
-        return iteration_verdict(g, e, iteration_cap)
+    n = len(phi)
+    chi, g = [1], []
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for step in range(1, n + 1):
+        g.append(sum(x * y for x, y in zip(m[0], v)))
+        pm = [[sum(phi[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(pm[i][i] for i in range(n)) // step
+        chi.append(c)
+        m = [[pm[i][j] + c * (i == j) for j in range(n)] for i in range(n)]
+    slope = [c * (n - i) for i, c in enumerate(chi[:-1])]
+    sturm = _remainders(chi, slope)
+    top = _variations(sturm, None)
+    hi = Fraction(max(sum(row) for row in phi) + 1)
+    lo = -hi
+    above = _variations(sturm, lo) - top
+    while above > 1:
+        mid = (lo + hi) / 2
+        while _scaled_value(chi, mid) == 0:
+            mid = (lo + mid) / 2
+        k = _variations(sturm, mid) - top
+        if k:
+            lo, above = mid, k
+        else:
+            hi = mid
+    product = [0] * (len(slope) + len(g) - 1)
+    for i, a in enumerate(slope):
+        for j, b in enumerate(g):
+            product[i + j] += a * b
+    tarski = _remainders(chi, _rem(product, chi))
+    return _variations(tarski, lo) - _variations(tarski, None)
+
+
+def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
+    """Sign of the element in the limit order: the sign of <w, v>.
+
+    Pushing keeps the pairing's sign, and a pushed vector that is
+    entrywise signed has it; most vectors are after a few pushes.  One
+    that is not after n = rank pushes gets the exact decision of
+    _perron_sign.  A zero pairing on a nonzero vector is undecided.
+    """
     _check_vector(g, e)
     v = e.vector
-    if all(x == 0 for x in v):
+    if not any(v):
         return Positivity.ZERO
-    (a, b), (c, d) = g.phi
-    s = _sign2(2 * c * v[0] + (d - a) * v[1], v[1], (a - d) ** 2 + 4 * b * c)
+    for _ in range(g.rank):
+        s = _signed(v)
+        if s:
+            break
+        v = _mat_vec(g.phi, v)
+    else:
+        s = _signed(v) or _perron_sign(g.phi, e.vector)
     if s > 0:
         return Positivity.STRICTLY_POSITIVE
     if s < 0:

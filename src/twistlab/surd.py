@@ -8,6 +8,7 @@ real numbers.  Everything here is big-integer exact; no floats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -413,6 +414,16 @@ class LinearPolynomial:
 # parts, e.g. "sqrt(2)", "-3", "3/4", "(1+sqrt(5))/2", "(1-2*sqrt(3))/4".
 
 
+# Digits are ASCII 0-9 only: str.isdigit also takes other scripts'
+# digits and superscripts.
+_DIGITS = re.compile(r"[0-9]*")
+
+
+def _is_digit(ch: str) -> bool:
+    """False also for the empty string peek() gives at the end."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -438,9 +449,7 @@ class _Scanner:
         start = pos = self.pos
         if text.startswith(("+", "-"), pos):
             pos += 1
-        end = pos
-        while end < len(text) and text[end].isdigit():
-            end += 1
+        end = _DIGITS.match(text, pos).end()
         if end == pos:
             raise SurdParseError("expected integer", pos)
         self.pos = end
@@ -460,7 +469,7 @@ def _parse_sqrt_term(sc: _Scanner, sign: int) -> tuple[int, int]:
     """Parse [k*]sqrt(d) after an optional sign; returns (q, d)."""
     sc.skip_ws()
     coeff = 1
-    if sc.peek().isdigit():
+    if _is_digit(sc.peek()):
         coeff = sc.integer()
         sc.skip_ws()
         sc.expect("*")
@@ -483,7 +492,7 @@ def _parse_numerator(sc: _Scanner) -> tuple[int, int, int]:
         sign = -1 if sc.peek() == "-" else 1
         sc.pos += 1
         sc.skip_ws()
-    if not sc.peek().isdigit():
+    if not _is_digit(sc.peek()):
         if not sc.text.startswith("sqrt", sc.pos):
             raise SurdParseError("expected integer or sqrt term", sc.pos)
         return (0, *_parse_sqrt_term(sc, sign))

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -112,18 +114,12 @@ class TestRunCommand:
             run_command("cf.bogus", {})
 
     def test_iter_cap_env(self, monkeypatch):
-        monkeypatch.setenv("TWISTLAB_ITER_CAP", "1")
-        got = run_command(
-            "dimgroup.positive",
-            {"phi": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "vector": [5, -1, -1]},
-        )
-        assert got == {"verdict": "infinitesimal-undecided"}
-        monkeypatch.setenv("TWISTLAB_ITER_CAP", "64")
-        got = run_command(
-            "dimgroup.positive",
-            {"phi": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "vector": [5, -1, -1]},
-        )
-        assert got == {"verdict": "strictly-positive"}
+        # positivity is exact at every rank: the retired variable changes nothing
+        args = {"phi": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "vector": [5, -1, -1]}
+        for cap in ("1", "64"):
+            monkeypatch.setenv("TWISTLAB_ITER_CAP", cap)
+            got = run_command("dimgroup.positive", args)
+            assert got == {"verdict": "strictly-positive"}
 
 
 class TestBatch:
@@ -246,6 +242,89 @@ class TestStrictIntegers:
         assert got == run_command("cf.convergents", {"terms": [1, 2, 2], "count": 3})
         got = run_command("dimgroup.positive", {"phi": [["2", 1], [1, 1]], "vector": ["-1", 0]})
         assert got == run_command("dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [-1, 0]})
+
+
+class TestStrictRationals:
+    @pytest.mark.parametrize(
+        "bad",
+        ["1e5", "0.5", " 1_000 ", "1 ", "1/0", "1/-2", "1/2/3", "", "\u0663", 0.5, True, None, [1]],
+        ids=["exponent", "decimal", "underscore", "padded", "zero-denominator",
+             "signed-denominator", "two-slashes", "empty", "unicode-digit", "float",
+             "bool", "null", "array"],
+    )
+    def test_curve_arguments_rejected(self, bad):
+        with pytest.raises(UsageError):
+            run_command("curve.j", {"A": bad, "B": "1"})
+
+    def test_integer_and_fraction_forms_accepted(self):
+        want = run_command("curve.j", {"A": "-3/4", "B": "1"})
+        assert want == {"j": "-576/5"}
+        for A in (str(Fraction(-3, 4)), "-6/8", "-0003/4"):
+            assert run_command("curve.j", {"A": A, "B": 1}) == want
+        assert run_command("curve.twist", {"A": 2, "B": "+1", "t": "-2/1"}) == {
+            "A": "8", "B": "-8"}
+
+    def test_digit_limit_is_usage_error(self):
+        with pytest.raises(UsageError, match="argument 'A'"):
+            run_command("curve.j", {"A": "1/" + "7" * 5000, "B": "1"})
+
+
+# Inputs that are slow by construction (huge literals, long expansions,
+# narrow spectral gaps) or once ended in a traceback; each must give an
+# answer or a typed error within the alarm.
+BOUNDED = [
+    pytest.param("dimgroup.positive",
+                 {"phi": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "vector": [1, -1, 0]},
+                 {"verdict": "infinitesimal-undecided"}, id="zero-pairing"),
+    pytest.param("dimgroup.positive",
+                 {"phi": [[1000000, 1], [1, 1000000]], "vector": [1000000, -999999]},
+                 {"verdict": "strictly-positive"}, id="narrow-spectral-gap"),
+    pytest.param("dimgroup.positive",
+                 {"phi": [[1000000, 1, 1], [1, 1000000, 1], [1, 1, 1000000]],
+                  "vector": [1000000, -999999, -1]},
+                 {"verdict": "infinitesimal-undecided"}, id="narrow-gap-zero-pairing"),
+    pytest.param("curve.j", {"A": "1e5000", "B": "1"}, "usage", id="exponent"),
+    pytest.param("curve.j", {"A": "1e3000000", "B": "1"}, "usage", id="huge-exponent"),
+    pytest.param("curve.j", {"A": "7" * 3000, "B": "1"}, "CurveError", id="j-too-long"),
+    pytest.param("cf.expand", {"theta": "sqrt(1000000000000000003)"}, "CFError",
+                 id="expand-over-budget"),
+    pytest.param("torus.invariant", {"theta": "sqrt(1000000000000000003)"}, "CFError",
+                 id="invariant-over-budget"),
+    pytest.param("cf.expand", {"theta": "sqrt(\u0663)"}, "SurdParseError", id="unicode-digit"),
+]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs longer than 2 s."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(2)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("verb, args, want", BOUNDED)
+class TestBoundedInputs:
+    def test_batch(self, verb, args, want, alarm):
+        (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+        if isinstance(want, dict):
+            assert got == {"id": 0, "status": "ok", "result": want}
+        else:
+            assert got["status"] == "error" and got["kind"] == want
+
+    def test_single_command(self, verb, args, want, alarm, capsys):
+        code, out, err = run_main([verb, json.dumps(args)], capsys)
+        assert "Traceback" not in out + err
+        if isinstance(want, dict):
+            assert code == 0 and json.loads(out) == want
+        elif want == "usage":
+            assert code == 1 and out == "" and err.startswith("twistlab: ")
+        else:
+            assert code == 2 and json.loads(out)["error"]["kind"] == want
 
 
 class TestMainExitCodes:

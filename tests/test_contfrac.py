@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistlab import contfrac
 from twistlab.contfrac import (
     CFError,
     Convergent,
@@ -152,6 +153,19 @@ class TestExpandSurd:
             EventuallyPeriodicCF((-4, 1), (3, 5)),
         ]:
             assert expand_surd(value_of(cf)) == cf
+
+    def test_term_budget(self, monkeypatch):
+        # sqrt(94) = [9; (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)]
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
+        assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
+        with pytest.raises(CFError, match="budget of 16 terms"):
+            expand_surd(S(0, 1, 1, 94))
+        # over budget within the preperiod
+        x = value_of(EventuallyPeriodicCF((1, 2, 3, 4, 5, 6), (2,)))
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 5)
+        with pytest.raises(CFError, match="budget of 5 terms"):
+            expand_surd(x)
 
 
 class TestValueOf:

@@ -169,6 +169,93 @@ class TestIsPositive:
             assert is_positive(g, e) is is_positive(g, pushed)
 
 
+def random_primitive(rng, n: int, top: int = 3) -> StationaryDimensionGroup:
+    while True:
+        phi = [[rng.randint(0, top) for _ in range(n)] for _ in range(n)]
+        try:
+            return from_matrix(phi)
+        except DimGroupError:
+            continue
+
+
+def constant_column_sums(rng, n: int) -> StationaryDimensionGroup:
+    """Columns summing to one constant make (1, ..., 1) the left Perron
+    eigenvector; rows are shuffled per column to keep it primitive."""
+    while True:
+        total = rng.randint(2, 6)
+        cols = []
+        for _ in range(n):
+            cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+            cols.append([b - a for a, b in zip([0, *cuts], [*cuts, total])])
+        try:
+            return from_matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        except DimGroupError:
+            continue
+
+
+class TestExactPositivityAtEveryRank:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_iteration_oracle_where_it_decides(self, n):
+        rng = random.Random(41 + n)
+        decided = 0
+        for _ in range(400):
+            g = random_primitive(rng, n)
+            e = K0Element(0, tuple(rng.randint(-6, 6) for _ in range(n)))
+            oracle = iteration_verdict(g, e, 64)
+            if oracle is not Positivity.UNDECIDED:
+                decided += 1
+                assert is_positive(g, e) is oracle, (g.phi, e.vector)
+        assert decided > 300
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sign_of_entry_sum_when_columns_sum_alike(self, n):
+        rng = random.Random(53 + n)
+        want = {1: Positivity.STRICTLY_POSITIVE, -1: Positivity.STRICTLY_NEGATIVE,
+                0: Positivity.UNDECIDED}
+        zero_pairings = 0
+        for _ in range(300):
+            g = constant_column_sums(rng, n)
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if not any(v):
+                continue
+            total = sum(v)
+            zero_pairings += total == 0
+            assert is_positive(g, K0Element(0, v)) is want[(total > 0) - (total < 0)]
+        assert zero_pairings > 20
+
+    def test_j_plus_i_zero_sum_vectors_undecided(self):
+        g = from_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        for v in [(1, -1, 0), (0, 3, -3), (2, -1, -1), (-5, 1, 4)]:
+            assert is_positive(g, K0Element(0, v)) is Positivity.UNDECIDED
+        assert is_positive(g, K0Element(0, (1, -1, 1))) is Positivity.STRICTLY_POSITIVE
+
+    @pytest.mark.parametrize("big", [10**6, 10**12])
+    def test_narrow_spectral_gap(self, big):
+        # symmetric with constant column sums: w = (1, ..., 1), and the
+        # eigenvalue ratio (big + 1) / (big - 1) defeats pushing alone
+        want = {1: Positivity.STRICTLY_POSITIVE, -1: Positivity.STRICTLY_NEGATIVE,
+                0: Positivity.UNDECIDED}
+        rank2 = from_matrix([[big, 1], [1, big]])
+        rank3 = from_matrix([[big, 1, 1], [1, big, 1], [1, 1, big]])
+        for g, v in [(rank2, (big, 1 - big)), (rank2, (big - 1, -big)), (rank2, (big, -big)),
+                     (rank3, (big, 1 - big, 0)), (rank3, (big, -big, -1)),
+                     (rank3, (big, -big, 0)), (rank3, (1, big, -1 - big))]:
+            total = sum(v)
+            assert is_positive(g, K0Element(0, v)) is want[(total > 0) - (total < 0)], v
+
+    def test_decides_past_the_old_cap(self):
+        # companion matrix of x^3 - x - 1, det 1: v = phi^-120 (1, -1, 0)
+        g = from_matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        inverse = ((-1, 0, 1), (1, 0, 0), (0, 1, 0))
+        v = (1, -1, 0)
+        for _ in range(120):
+            v = tuple(sum(a * b for a, b in zip(row, v)) for row in inverse)
+        e = K0Element(0, v)
+        assert iteration_verdict(g, e, 64) is Positivity.UNDECIDED
+        assert iteration_verdict(g, e, 10**4) is Positivity.STRICTLY_NEGATIVE
+        assert is_positive(g, e) is Positivity.STRICTLY_NEGATIVE
+
+
 class TestShift:
     def test_matrix_application(self):
         assert shift(FIB, K0Element(0, (1, 0))) == K0Element(0, (1, 1))

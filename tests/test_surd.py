@@ -248,6 +248,20 @@ class TestLiterals:
             parse_surd(bad)
         assert err.value.column >= 0
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("sqrt(\u0663)", "expected integer (column 5)"),  # Arabic-Indic three
+            ("\u00b2", "expected integer or sqrt term (column 0)"),  # superscript two
+            ("(1+sqrt(5))/\u0662", "expected integer (column 12)"),
+            ("\uff13*sqrt(2)", "expected integer or sqrt term (column 0)"),  # fullwidth three
+        ],
+    )
+    def test_only_ascii_digits(self, bad, message):
+        with pytest.raises(SurdParseError) as err:
+            parse_surd(bad)
+        assert str(err.value) == message
+
     def test_nonpositive_radicand_rejected(self):
         with pytest.raises(SurdError):
             parse_surd("sqrt(-2)")
