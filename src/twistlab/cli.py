@@ -14,6 +14,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
+from typing import Optional
 
 from . import contfrac, dimgroup, elliptic, torus
 from .contfrac import EventuallyPeriodicCF, FiniteCF
@@ -121,20 +123,31 @@ def _cmd_cf_value(args: dict) -> dict:
     return {"value": format_surd(contfrac.value_of(_cf_from_args(args)))}
 
 
+@cache
+def _digit_ceiling(limit: int) -> Optional[int]:
+    """The least integer too long for str() under a digit limit; 0 is no limit."""
+    return 10**limit if limit else None
+
+
 def _cmd_cf_convergents(args: dict) -> dict:
     cf = _cf_from_args(args)
     count = _int(_arg(args, "count"), "count")
     if count > sys.maxsize:
         raise UsageError(f"count must be at most {sys.maxsize}, got {count}")
-    out = []
     # q_k >= F_(k+1), so a long expansion reaches the interpreter's digit
-    # limit for printing after about 20k terms; stop at the first such one
+    # limit for printing after about 20k terms: find the first convergent
+    # with an entry of more digits than the limit before printing any
+    ceiling = _digit_ceiling(sys.get_int_max_str_digits())
+    found = []
     for c in contfrac.iter_convergents(cf, count):
-        try:
-            out.append(f"{c.p}/{c.q}")
-        except ValueError as exc:
-            raise contfrac.CFError(f"convergent {c.index} is too long to print: {exc}")
-    return {"convergents": out}
+        widest = max(abs(c.p), abs(c.q))
+        if ceiling and widest >= ceiling:
+            try:
+                str(widest)
+            except ValueError as exc:
+                raise contfrac.CFError(f"convergent {c.index} is too long to print: {exc}")
+        found.append(c)
+    return {"convergents": [f"{c.p}/{c.q}" for c in found]}
 
 
 def _cmd_torus_morita(args: dict) -> dict:

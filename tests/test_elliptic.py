@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twistlab.elliptic import (
     CurveError,
     EllipticCurve,
     SingularCurveError,
     TwistParameter,
+    _int_nth_root,
     c_isomorphic,
     j_invariant,
     q_isomorphic,
@@ -172,3 +174,21 @@ class TestTwistBetween:
             got = twist_between(e1, e2)
             assert got is not None
             assert twist(e1, got) == e2
+
+
+class TestIntNthRoot:
+    @given(st.integers(2, 10**80), st.sampled_from([2, 4, 6]))
+    def test_powers_and_their_neighbours(self, x, n):
+        assert _int_nth_root(x**n, n) == x
+        assert _int_nth_root(x**n - 1, n) is None
+        assert _int_nth_root(x**n + 1, n) is None
+
+    def test_small_and_negative(self):
+        assert [_int_nth_root(m, 2) for m in (-4, -1, 0, 1, 2, 3, 4)] == [
+            None, None, 0, 1, None, None, 2]
+        assert _int_nth_root(-64, 6) is None
+
+    def test_twenty_thousand_digit_square(self, alarm):
+        x = 3**20960  # x * x has 20001 digits
+        assert _int_nth_root(x * x, 2) == x
+        assert _int_nth_root(x * x + 1, 2) is None

@@ -1,9 +1,9 @@
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from twistlab.surd import (
     IncompatibleFieldsError,
@@ -197,6 +197,19 @@ class TestFloor:
 
     def test_rational(self):
         assert S(-7, 0, 3, 1).floor() == -3
+
+    # built directly, so d = k^2 stays square; floor must still be exact
+    @given(st.integers(-60, 60), st.integers(-60, 60).filter(bool), st.integers(1, 60),
+           st.integers(2, 40))
+    @example(0, 1, 1, 2)
+    @example(0, -1, 1, 2)
+    @example(1, -1, 2, 3)
+    @example(3, -2, 5, 2)
+    @example(-7, 3, 3, 5)
+    @example(5, -1, 2, 7)
+    def test_square_radicand(self, p, q, r, k):
+        assume(gcd(gcd(p, q), r) == 1)
+        assert QuadraticSurd(p, q, r, k * k).floor() == floor(Fraction(p + q * k, r))
 
     @given(surds())
     def test_floor_brackets_value(self, x):
