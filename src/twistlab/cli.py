@@ -241,7 +241,7 @@ def _cmd_curve_iso(args: dict) -> dict:
 
 def _cmd_curve_twist_between(args: dict) -> dict:
     t = elliptic.twist_between(_curve(args, "A1", "B1"), _curve(args, "A2", "B2"))
-    return {"t": _curve_text(t.t) if t is not None else None}
+    return {"t": _curve_text(t.t)}
 
 
 VERBS = {

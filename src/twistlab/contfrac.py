@@ -227,9 +227,19 @@ def _mobius_matrix(terms) -> tuple[int, int, int, int]:
     return m11, m12, m21, m22
 
 
+def _transfer(w1, w2) -> tuple[int, int, int, int]:
+    """M(w2) * M(w1)^-1, row-major, for M = _mobius_matrix: it maps M(w1)(x)
+    to M(w2)(x).  det M(w1) = s = (-1)^|w1|, so M(w1)^-1 = s * adj M(w1)."""
+    a, b, c, d = _mobius_matrix(w1)
+    p, q, r, t = _mobius_matrix(w2)
+    s = -1 if len(w1) % 2 else 1
+    return s * (p * d - q * c), s * (q * a - p * b), s * (r * d - t * c), s * (t * a - r * b)
+
+
 def _fixed_point(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    """Larger root ((a - d) + sqrt(disc))/(2c) of c x^2 + (d - a) x - b = 0,
-    a fixed point of x -> (a x + b)/(c x + d), for c > 0.
+    """Attracting fixed point ((a - d) + sqrt(disc))/(2c) of
+    x -> (a x + b)/(c x + d) for any c != 0 and a + d > 0: there
+    c x + d = (a + d + sqrt(disc))/2, the eigenvalue of larger modulus.
 
     The form is divided by its content g first.  The discriminant of the
     period matrix's form carries a square factor that grows exponentially
@@ -249,11 +259,10 @@ def value_of(cf: AnyCF) -> QuadraticSurd:
         m11, m12, m21, m22 = _mobius_matrix(cf.terms)
         # value = (m11*1 + ... ) applied to the empty tail: p_m/q_m = m11/m21
         return QuadraticSurd.normalize(m11, 0, m21, 1)
-    # purely periodic part: the fixed point y > 1 of the period matrix; its
-    # conjugate lies in (-1, 0) (Galois), so y is the larger root
-    y = _fixed_point(*_mobius_matrix(cf.period))
-    n11, n12, n21, n22 = _mobius_matrix(cf.preperiod)
-    return (y * n11 + n12) / (y * n21 + n22)
+    # M(pre)(y), y the attracting fixed point of M(period), is the attracting
+    # fixed point of M(pre + period) M(pre)^-1; the conjugate keeps the trace and
+    # the content and discriminant of the fixed-point form, so the radicand too
+    return _fixed_point(*_transfer(cf.preperiod, cf.preperiod + cf.period))
 
 
 def iter_convergents(cf: AnyCF, count: int) -> Iterator[Convergent]:

@@ -90,13 +90,25 @@ def _mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple; a float, a bool or any other non-int entry is a
+    DimGroupError, never coerced."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise DimGroupError(f"{what} entries must be integers, got {x!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class K0Element:
     stage: int
     vector: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(self.vector))
+        object.__setattr__(self, "vector", _integers(self.vector, "vector"))
+        if type(self.stage) is not int:
+            raise DimGroupError(f"stage must be an integer, got {self.stage!r}")
         if self.stage < 0:
             raise DimGroupError("stage must be nonnegative")
 
@@ -119,7 +131,7 @@ class StationaryDimensionGroup:
 
 
 def from_matrix(phi) -> StationaryDimensionGroup:
-    rows = tuple(tuple(int(x) for x in row) for row in phi)
+    rows = tuple(_integers(row, "matrix") for row in phi)
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise DimGroupError("matrix must be square and nonempty")
@@ -134,14 +146,14 @@ def from_matrix(phi) -> StationaryDimensionGroup:
 
 def from_cf_period(period) -> StationaryDimensionGroup:
     """phi = product of [[b_i, 1], [1, 0]] over a primitive period word;
-    always primitive with |det| = 1."""
-    word = tuple(int(b) for b in period)
+    det = +-1 and phi^2 > 0, so it needs none of from_matrix's checks."""
+    word = _integers(period, "period")
     if not word or any(b < 1 for b in word):
         raise DimGroupError("period must be a nonempty positive word")
     if not word_is_primitive(word):
         raise DimGroupError(f"not primitive: {word}")
     m11, m12, m21, m22 = _mobius_matrix(word)
-    return from_matrix(((m11, m12), (m21, m22)))
+    return StationaryDimensionGroup(((m11, m12), (m21, m22)))
 
 
 def _check_vector(g: StationaryDimensionGroup, e: K0Element):
@@ -155,20 +167,30 @@ def _check_vector(g: StationaryDimensionGroup, e: K0Element):
 # by about the bit size of phi, so the time grows with the square of the
 # gap: 10^3 stages took 4 ms for [[2, 1], [1, 1]] and 29 ms for a 3x3 phi
 # with 10^12 on the diagonal, 10^4 stages 0.07 s and 2.0 s (2-vCPU Xeon
-# VM).  The benchmark's gaps are at most 3 stages.
+# VM).  The benchmark's gaps are at most 3 stages.  A push grows the
+# entries by at most the bit length of phi's largest row sum rho, since
+# |phi v| <= rho |v| in the max norm, and a gap may grow them by at most
+# 64 * STAGE_BUDGET bits: a 6x6 phi of 10^100s took 3.4 s across 10^3 stages.
 STAGE_BUDGET = 10**3
 
 
 def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> bool:
     """Push the lower-stage vector forward; phi is injective (det != 0),
     so this decides equality in the limit.  A gap of more than
-    STAGE_BUDGET stages raises DimGroupError."""
+    STAGE_BUDGET stages, or one whose pushes may grow the entries by more
+    than 64 * STAGE_BUDGET bits, raises DimGroupError."""
     _check_vector(g, e1)
     _check_vector(g, e2)
     lo, hi = (e1, e2) if e1.stage <= e2.stage else (e2, e1)
     gap = hi.stage - lo.stage
     if gap > STAGE_BUDGET:
         raise DimGroupError(f"stage gap {gap} exceeds the stage budget of {STAGE_BUDGET}")
+    bits = max(map(sum, g.phi)).bit_length()
+    if gap * bits > 64 * STAGE_BUDGET:
+        raise DimGroupError(
+            f"stage gap {gap} at {bits} bits a stage exceeds the budget of "
+            f"{64 * STAGE_BUDGET} bits of growth"
+        )
     v = lo.vector
     for _ in range(gap):
         v = _mat_vec(g.phi, v)

@@ -68,7 +68,8 @@ def twist(e: EllipticCurve, t: TwistParameter) -> EllipticCurve:
 
 
 def c_isomorphic(e1: EllipticCurve, e2: EllipticCurve) -> bool:
-    return j_invariant(e1) == j_invariant(e2)
+    """Equal j, which with its denominators cleared is A1^3 B2^2 = A2^3 B1^2."""
+    return e1.A**3 * e2.B**2 == e2.A**3 * e1.B**2
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
@@ -96,16 +97,15 @@ def _rational_nth_root(f: Fraction, n: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _twist_parameter(e1: EllipticCurve, e2: EllipticCurve) -> Optional[Fraction]:
-    """The t with twist(e1, t) = e2 for curves whose A and B vanish
-    alike, or None when e2 lies outside e1's twist family (the generic-j
-    consistency check fails)."""
+def _twist_parameter(e1: EllipticCurve, e2: EllipticCurve) -> Fraction:
+    """The t with twist(e1, t) = e2 for C-isomorphic curves.  At generic
+    j, t = A1 B2 / (A2 B1): A1^3 B2^2 = A2^3 B1^2 gives t^2 = A2 / A1 and
+    then t^3 = B2 / B1."""
     if e1.B == 0:  # j = 1728
         return e2.A / e1.A
     if e1.A == 0:  # j = 0
         return e2.B / e1.B
-    t = (e2.B / e1.B) / (e2.A / e1.A)
-    return t if t * t == e2.A / e1.A and t**3 == e2.B / e1.B else None
+    return e1.A * e2.B / (e2.A * e1.B)
 
 
 def q_isomorphic(
@@ -118,22 +118,15 @@ def q_isomorphic(
     twist by t = u^2 at generic j, by t = u^4 at j = 1728 (B = 0) and by
     t = u^6 at j = 0 (A = 0).
     """
-    if (e1.A == 0) != (e2.A == 0) or (e1.B == 0) != (e2.B == 0):
+    if not c_isomorphic(e1, e2):  # equal j also makes A and B vanish alike
         return False, None
-    t = _twist_parameter(e1, e2)
-    if t is None:
-        return False, None
-    u = _rational_nth_root(t, 4 if e1.B == 0 else 6 if e1.A == 0 else 2)
+    u = _rational_nth_root(_twist_parameter(e1, e2), 4 if e1.B == 0 else 6 if e1.A == 0 else 2)
     return u is not None, u
 
 
-def twist_between(e1: EllipticCurve, e2: EllipticCurve) -> Optional[TwistParameter]:
-    """The t with twist(e1, t) = e2, if e2 lies in e1's twist family.
-
-    Requires equal j-invariants, which make A and B vanish alike; returns
-    None for C-isomorphic pairs outside the family.
-    """
+def twist_between(e1: EllipticCurve, e2: EllipticCurve) -> TwistParameter:
+    """The t with twist(e1, t) = e2.  Requires equal j-invariants; over Q
+    every C-isomorphic pair lies in one twist family."""
     if not c_isomorphic(e1, e2):
         raise CurveError("twist_between requires equal j-invariants")
-    t = _twist_parameter(e1, e2)
-    return TwistParameter(t) if t is not None else None
+    return TwistParameter(_twist_parameter(e1, e2))

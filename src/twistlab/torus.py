@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .contfrac import EventuallyPeriodicCF, _mobius_matrix, expand_surd, least_rotation
+from .contfrac import EventuallyPeriodicCF, _transfer, expand_surd, least_rotation
 from .surd import QuadraticSurd
 
 
@@ -116,15 +116,6 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     return cf1.preperiod, cf2.preperiod + p2[: (k2 - k1) % len(p1)], p1
 
 
-def _witness(w1, w2) -> UnimodularWitness:
-    """M(w2) * M(w1)^-1 for the Mobius matrices M of the prefix words: it
-    maps theta1 = M(w1)(x) to theta2 = M(w2)(x) for their common tail x;
-    its determinant is (-1)^(|w1| + |w2|)."""
-    m1 = UnimodularWitness(*_mobius_matrix(w1))
-    m2 = UnimodularWitness(*_mobius_matrix(w2))
-    return m2 @ m1.inverse()
-
-
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
     if apply_mobius(m, t1).theta != t2.theta:
         raise TorusError("internal: witness failed re-application check")
@@ -132,10 +123,10 @@ def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> U
 
 
 def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
-    """A verified witness of determinant +-1, or None when the tail
-    classes differ."""
+    """A verified witness M(w2) * M(w1)^-1 of determinant (-1)^(|w1| + |w2|)
+    for the prefix words, or None when the tail classes differ."""
     found = _tail_offsets(t1, t2)
-    return _verified(_witness(*found[:2]), t1, t2) if found else None
+    return _verified(UnimodularWitness(*_transfer(*found[:2])), t1, t2) if found else None
 
 
 def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
@@ -153,4 +144,4 @@ def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWi
         if len(period) % 2 == 0:
             return None
         w2 += period
-    return _verified(_witness(w1, w2), t1, t2)
+    return _verified(UnimodularWitness(*_transfer(w1, w2)), t1, t2)

@@ -302,6 +302,11 @@ BOUNDED = [
                  {"phi": [[2, 1], [1, 1]], "e1": {"stage": 0, "vector": [1, 0]},
                   "e2": {"stage": 100000000, "vector": [1, 0]}},
                  "DimGroupError", id="compare-over-stage-budget"),
+    pytest.param("dimgroup.compare",
+                 {"phi": [[10**100 + (i == j) for j in range(6)] for i in range(6)],
+                  "e1": {"stage": 0, "vector": [1, 2, 3, 4, 5, 6]},
+                  "e2": {"stage": 1000, "vector": [1, 2, 3, 4, 5, 6]}},
+                 "DimGroupError", id="compare-over-bit-budget"),
     pytest.param("cf.convergents", {"period": [1], "count": 25000}, "CFError",
                  id="convergents-too-long-to-print"),
 ]

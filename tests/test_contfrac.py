@@ -1,8 +1,10 @@
 import time
+from contextlib import ExitStack
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistlab import contfrac
 from twistlab.contfrac import (
@@ -48,6 +50,27 @@ def naive_split(x: QuadraticSurd):
         x = (x - a).invert()
     start = seen[x]
     return tuple(terms[:start]), tuple(terms[start:])
+
+
+def periodic_cfs():
+    """a0 in [-50, 50] and up to six terms in 1..9 before a primitive
+    period of at most 14 terms in 1..9, the preperiod minimal."""
+    pre = st.tuples(st.integers(-50, 50), st.lists(st.integers(1, 9), max_size=6))
+    period = st.lists(st.integers(1, 9), min_size=1, max_size=14).map(tuple).filter(is_primitive)
+    return st.tuples(pre.map(lambda t: (t[0], *t[1])), period).filter(
+        lambda t: t[0][-1] != t[1][-1]).map(lambda t: EventuallyPeriodicCF(*t))
+
+
+def surd_arithmetic_forbidden():
+    """A context in which multiplying, adding, dividing or inverting a
+    surd raises."""
+    def forbidden(*args):
+        raise AssertionError("surd field arithmetic")
+
+    stack = ExitStack()
+    for name in ("__mul__", "__add__", "__truediv__", "invert"):
+        stack.enter_context(patch.object(QuadraticSurd, name, forbidden))
+    return stack
 
 
 def all_divisors_primitive(word) -> bool:
@@ -145,14 +168,17 @@ class TestExpandSurd:
         cf = expand_surd(x)
         assert (cf.preperiod, cf.period) == naive_split(x)
 
-    def test_expansion_of_value_is_identity(self):
-        for cf in [
-            EventuallyPeriodicCF((1,), (2,)),
-            EventuallyPeriodicCF((), (1,)),
-            EventuallyPeriodicCF((0, 3), (2, 1)),
-            EventuallyPeriodicCF((-4, 1), (3, 5)),
-        ]:
-            assert expand_surd(value_of(cf)) == cf
+    @given(periodic_cfs())
+    @example(EventuallyPeriodicCF((1,), (2,)))
+    @example(EventuallyPeriodicCF((), (1,)))
+    @example(EventuallyPeriodicCF((0, 3), (2, 1)))
+    @example(EventuallyPeriodicCF((-4, 1), (3, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_expansion_of_value_is_identity(self, cf):
+        # the value is read off one integer matrix, with no surd arithmetic
+        with surd_arithmetic_forbidden():
+            x = value_of(cf)
+        assert expand_surd(x) == cf
 
     def test_term_budget(self, monkeypatch):
         # sqrt(94) = [9; (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)]

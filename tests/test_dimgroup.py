@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistlab import dimgroup
 from twistlab.contfrac import EventuallyPeriodicCF, is_primitive, value_of
 from twistlab.dimgroup import (
     STAGE_BUDGET,
@@ -59,6 +60,20 @@ class TestFromMatrix:
         g = from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert g.rank == 3
         assert g.determinant == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: from_matrix([[2.5, 1], [1, 1]]),
+        lambda: from_matrix([[True, 1], [1, 1]]),
+        lambda: from_cf_period([1.5, 2]),
+        lambda: from_cf_period([True]),
+        lambda: K0Element(1.5, (1, 0)),
+        lambda: K0Element(0, (0.5, -0.3)),
+        lambda: K0Element(0, (1, False)),
+    ], ids=["matrix-float", "matrix-bool", "period-float", "period-bool",
+            "stage-float", "vector-float", "vector-bool"])
+    def test_non_integers_rejected(self, build):
+        with pytest.raises(DimGroupError, match="integer"):
+            build()
 
     def test_rank3_cyclic_not_primitive(self):
         with pytest.raises(NotPrimitiveMatrixError):
@@ -137,6 +152,18 @@ class TestFromCFPeriod:
         with pytest.raises(DimGroupError):
             from_cf_period((2, 2))
 
+    def test_no_matrix_checks(self, monkeypatch):
+        # a positive word's product is known nonsingular and primitive
+        def forbidden(m):
+            raise AssertionError("matrix check")
+
+        words = [(1,), (7,), (1, 2), (2, 1, 1), (4, 3, 2, 1), (1, 1, 1, 1, 1, 2) * 9 + (3,)]
+        monkeypatch.setattr(dimgroup, "_det", forbidden)
+        monkeypatch.setattr(dimgroup, "_is_primitive_matrix", forbidden)
+        groups = [from_cf_period(word) for word in words]
+        monkeypatch.undo()
+        assert groups == [from_matrix(g.phi) for g in groups]
+
 
 class TestElementEqual:
     def test_defining_relation(self):
@@ -174,6 +201,23 @@ class TestElementEqual:
         for lo, hi in [(0, STAGE_BUDGET + 1), (10**8, 0)]:
             with pytest.raises(DimGroupError, match=f"stage budget of {STAGE_BUDGET}"):
                 element_equal(g, K0Element(lo, v), K0Element(hi, v))
+
+    def test_bit_budget(self, alarm):
+        # within the stage budget, a wide phi still may not grow the pushed
+        # entries by more than 64 * STAGE_BUDGET bits
+        big = 10**100
+        g = from_matrix([[big + (i == j) for j in range(6)] for i in range(6)])
+        v = (1, 2, 3, 4, 5, 6)
+        bits = (6 * big + 1).bit_length()
+        reach = 64 * STAGE_BUDGET // bits
+        assert not element_equal(g, K0Element(0, v), K0Element(reach, v))
+        for gap in (reach + 1, 300, STAGE_BUDGET):
+            with pytest.raises(DimGroupError, match=f"budget of {64 * STAGE_BUDGET} bits"):
+                element_equal(g, K0Element(0, v), K0Element(gap, v))
+        # (1, -1, 0) is an eigenvector, of eigenvalue 10^12 - 1
+        g = from_matrix([[10**12, 1, 1], [1, 10**12, 1], [1, 1, 10**12]])
+        top = (10**12 - 1) ** STAGE_BUDGET
+        assert element_equal(g, K0Element(0, (1, -1, 0)), K0Element(STAGE_BUDGET, (top, -top, 0)))
 
 
 class TestIsPositive:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from twistlab import elliptic
 from twistlab.elliptic import (
     CurveError,
     EllipticCurve,
@@ -93,6 +94,34 @@ class TestCIsomorphic:
 
     def test_reflexive(self):
         assert c_isomorphic(E(5, 7), E(5, 7))
+
+    def test_equal_j_without_computing_j(self, monkeypatch):
+        # twists and scalings in every branch, and unrelated pairs whose A
+        # and B vanish alike
+        rng = random.Random(21)
+        nonzero = [F(n, m) for n in range(-9, 10) if n for m in range(1, 5)]
+
+        def curve(a, b):  # a random curve whose A and B vanish where a and b do
+            while True:
+                try:
+                    return E(rng.choice(nonzero) if a else 0, rng.choice(nonzero) if b else 0)
+                except SingularCurveError:
+                    continue
+
+        pairs = []
+        for a, b in [(1, 1), (1, 0), (0, 1)] * 100:
+            e1, t = curve(a, b), rng.choice(nonzero)
+            for e2 in [twist(e1, TwistParameter(t)), E(t**4 * e1.A, t**6 * e1.B),
+                       curve(a, b), curve(1, 1)]:
+                pairs.append((e1, e2))
+        want = [j_invariant(e1) == j_invariant(e2) for e1, e2 in pairs]
+        assert 0 < sum(want) < len(want)
+
+        def forbidden(e):
+            raise AssertionError("j computed")
+
+        monkeypatch.setattr(elliptic, "j_invariant", forbidden)
+        assert [c_isomorphic(e1, e2) for e1, e2 in pairs] == want
 
 
 class TestQIsomorphic:
