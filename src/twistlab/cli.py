@@ -17,23 +17,16 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from . import contfrac, dimgroup, elliptic, torus
-from .contfrac import EventuallyPeriodicCF, FiniteCF
-from .surd import QuadraticSurd, SurdError, format_surd, parse_surd
+# the layers are loaded lazily (see __init__): a verb runs only the ones it calls
+from . import contfrac, dimgroup, elliptic, surd, torus
+from .errors import CFError, CurveError, DimGroupError, SurdError, TorusError
 
 
 class UsageError(Exception):
     pass
 
 
-DOMAIN_ERRORS = (
-    SurdError,
-    contfrac.CFError,
-    torus.TorusError,
-    dimgroup.DimGroupError,
-    elliptic.CurveError,
-    ZeroDivisionError,
-)
+DOMAIN_ERRORS = (SurdError, CFError, TorusError, DimGroupError, CurveError, ZeroDivisionError)
 
 
 def _arg(args: dict, key: str):
@@ -42,8 +35,8 @@ def _arg(args: dict, key: str):
     return args[key]
 
 
-def _surd_arg(args: dict, key: str) -> QuadraticSurd:
-    return parse_surd(str(_arg(args, key)))
+def _surd_arg(args: dict, key: str) -> surd.QuadraticSurd:
+    return surd.parse_surd(str(_arg(args, key)))
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -97,15 +90,15 @@ def _ints(value, what: str) -> tuple[int, ...]:
 
 def _cf_from_args(args: dict):
     if "terms" in args:
-        return FiniteCF(_ints(args["terms"], "terms"))
+        return contfrac.FiniteCF(_ints(args["terms"], "terms"))
     if "period" in args:
         pre = _ints(args.get("preperiod", []), "preperiod")
-        return EventuallyPeriodicCF(pre, _ints(args["period"], "period"))
+        return contfrac.EventuallyPeriodicCF(pre, _ints(args["period"], "period"))
     raise UsageError("expected 'terms' or 'preperiod'/'period'")
 
 
 def _cf_json(cf) -> dict:
-    if isinstance(cf, FiniteCF):
+    if isinstance(cf, contfrac.FiniteCF):
         return {"terms": list(cf.terms)}
     return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
 
@@ -120,7 +113,7 @@ def _cmd_cf_expand(args: dict) -> dict:
 
 
 def _cmd_cf_value(args: dict) -> dict:
-    return {"value": format_surd(contfrac.value_of(_cf_from_args(args)))}
+    return {"value": surd.format_surd(contfrac.value_of(_cf_from_args(args)))}
 
 
 @cache
@@ -145,7 +138,7 @@ def _cmd_cf_convergents(args: dict) -> dict:
             try:
                 str(widest)
             except ValueError as exc:
-                raise contfrac.CFError(f"convergent {c.index} is too long to print: {exc}")
+                raise CFError(f"convergent {c.index} is too long to print: {exc}")
         found.append(c)
     return {"convergents": [f"{c.p}/{c.q}" for c in found]}
 
@@ -180,7 +173,7 @@ def _cmd_dimgroup_from_period(args: dict) -> dict:
         "rank": g.rank,
         "det": g.determinant,
         "shift_automorphism": g.shift_is_automorphism,
-        "slope": format_surd(dimgroup.rank2_slope(g)),
+        "slope": surd.format_surd(dimgroup.rank2_slope(g)),
     }
 
 
@@ -216,7 +209,7 @@ def _curve_text(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError as exc:  # beyond the interpreter's digit limit
-        raise elliptic.CurveError(f"result too long to print: {exc}")
+        raise CurveError(f"result too long to print: {exc}")
 
 
 def _cmd_curve_j(args: dict) -> dict:

@@ -10,21 +10,14 @@ the first reduced state and the minimal period at that state's return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
 from typing import Iterator, Union
 
-from .surd import QuadraticSurd
-
-
-class CFError(ValueError):
-    """Domain error in continued-fraction operations."""
-
-
-class NotPrimitiveError(CFError):
-    """A period word that is a power of a shorter word."""
+from . import surd
+from ._value import Value
+from .errors import CFError, NotPrimitiveError
 
 
 # Most terms expand_surd produces, preperiod and period together: about
@@ -87,21 +80,21 @@ def least_rotation(word) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class FiniteCF:
+class FiniteCF(Value):
     """[a0; a1, ..., am], canonical: a_i >= 1 for i >= 1, last term >= 2
     unless the expansion is a single integer."""
 
-    terms: tuple[int, ...]
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, terms):
+        terms = tuple(terms)
+        if not terms:
             raise CFError("empty continued fraction")
-        if any(a < 1 for a in self.terms[1:]):
+        if any(a < 1 for a in terms[1:]):
             raise CFError("terms after a0 must be >= 1")
-        if len(self.terms) > 1 and self.terms[-1] < 2:
+        if len(terms) > 1 and terms[-1] < 2:
             raise CFError("canonical finite form forbids a trailing 1")
+        object.__setattr__(self, "terms", terms)
 
     def __str__(self):
         if len(self.terms) == 1:
@@ -110,27 +103,26 @@ class FiniteCF:
         return f"[{self.terms[0]}; {rest}]"
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicCF:
+class EventuallyPeriodicCF(Value):
     """[a0, ..., ak; (b1, ..., bn)] with primitive period and minimal
     preperiod; the preperiod may be empty (purely periodic)."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    _fields = ("preperiod", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, preperiod, period):
+        preperiod, period = tuple(preperiod), tuple(period)
+        if not period:
             raise CFError("period must be nonempty")
-        if not is_primitive(self.period):
-            raise NotPrimitiveError(f"period not primitive: {self.period}")
-        if min(self.period) < 1:
+        if not is_primitive(period):
+            raise NotPrimitiveError(f"period not primitive: {period}")
+        if min(period) < 1:
             raise CFError("period terms must be >= 1")
-        if len(self.preperiod) > 1 and min(self.preperiod[1:]) < 1:
+        if len(preperiod) > 1 and min(preperiod[1:]) < 1:
             raise CFError("terms after a0 must be >= 1")
-        if self.preperiod and self.preperiod[-1] == self.period[-1]:
+        if preperiod and preperiod[-1] == period[-1]:
             raise CFError("preperiod not minimal: last term absorbs into period")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     def term_stream(self) -> Iterator[int]:
         yield from self.preperiod
@@ -146,11 +138,13 @@ class EventuallyPeriodicCF:
 AnyCF = Union[FiniteCF, EventuallyPeriodicCF]
 
 
-@dataclass(frozen=True)
-class Convergent:
-    p: int
-    q: int
-    index: int
+class Convergent(Value):
+    _fields = ("p", "q", "index")
+
+    def __init__(self, p: int, q: int, index: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "index", index)
 
 
 def expand_rational(x) -> FiniteCF:
@@ -167,7 +161,7 @@ def expand_rational(x) -> FiniteCF:
     return FiniteCF(tuple(terms))
 
 
-def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
+def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     """Minimal-preperiod, minimal-period expansion of an irrational surd.
 
     State recursion on (P + sqrt(D))/Q with Q | D - P^2:
@@ -219,24 +213,28 @@ def expand_surd(x: QuadraticSurd) -> EventuallyPeriodicCF:
     raise CFError(f"expansion longer than the budget of {TERM_BUDGET} terms")
 
 
-def _mobius_matrix(terms) -> tuple[int, int, int, int]:
-    """Product of [[a,1],[1,0]] over the terms, row-major."""
-    m11, m12, m21, m22 = 1, 0, 0, 1
+def _mobius_matrix(terms, start=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
+    """start times the product of [[a,1],[1,0]] over the terms, row-major."""
+    m11, m12, m21, m22 = start
     for a in terms:
         m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
     return m11, m12, m21, m22
 
 
-def _transfer(w1, w2) -> tuple[int, int, int, int]:
-    """M(w2) * M(w1)^-1, row-major, for M = _mobius_matrix: it maps M(w1)(x)
-    to M(w2)(x).  det M(w1) = s = (-1)^|w1|, so M(w1)^-1 = s * adj M(w1)."""
-    a, b, c, d = _mobius_matrix(w1)
-    p, q, r, t = _mobius_matrix(w2)
-    s = -1 if len(w1) % 2 else 1
+def _over(m2, m1, length: int) -> tuple[int, int, int, int]:
+    """m2 * m1^-1, row-major, for m1 = M(w) of a word w of the given
+    length: det m1 = s = (-1)^length, so m1^-1 = s * adj m1."""
+    (p, q, r, t), (a, b, c, d) = m2, m1
+    s = -1 if length % 2 else 1
     return s * (p * d - q * c), s * (q * a - p * b), s * (r * d - t * c), s * (t * a - r * b)
 
 
-def _fixed_point(a: int, b: int, c: int, d: int) -> QuadraticSurd:
+def _transfer(w1, w2) -> tuple[int, int, int, int]:
+    """M(w2) * M(w1)^-1 for M = _mobius_matrix: it maps M(w1)(x) to M(w2)(x)."""
+    return _over(_mobius_matrix(w2), _mobius_matrix(w1), len(w1))
+
+
+def _fixed_point(a: int, b: int, c: int, d: int) -> surd.QuadraticSurd:
     """Attracting fixed point ((a - d) + sqrt(disc))/(2c) of
     x -> (a x + b)/(c x + d) for any c != 0 and a + d > 0: there
     c x + d = (a + d + sqrt(disc))/2, the eigenvalue of larger modulus.
@@ -250,19 +248,21 @@ def _fixed_point(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     """
     g = gcd(gcd(c, d - a), b)
     disc = ((a - d) ** 2 + 4 * b * c) // (g * g)
-    return QuadraticSurd.normalize((a - d) // g, 1, 2 * c // g, disc)
+    return surd.QuadraticSurd.normalize((a - d) // g, 1, 2 * c // g, disc)
 
 
-def value_of(cf: AnyCF) -> QuadraticSurd:
+def value_of(cf: AnyCF) -> surd.QuadraticSurd:
     """Exact value; inverse of the expansion maps."""
     if isinstance(cf, FiniteCF):
         m11, m12, m21, m22 = _mobius_matrix(cf.terms)
         # value = (m11*1 + ... ) applied to the empty tail: p_m/q_m = m11/m21
-        return QuadraticSurd.normalize(m11, 0, m21, 1)
+        return surd.QuadraticSurd.normalize(m11, 0, m21, 1)
     # M(pre)(y), y the attracting fixed point of M(period), is the attracting
     # fixed point of M(pre + period) M(pre)^-1; the conjugate keeps the trace and
-    # the content and discriminant of the fixed-point form, so the radicand too
-    return _fixed_point(*_transfer(cf.preperiod, cf.preperiod + cf.period))
+    # the content and discriminant of the fixed-point form, so the radicand too.
+    # M(pre + period) continues the product M(pre), so each word is multiplied once.
+    pre = _mobius_matrix(cf.preperiod)
+    return _fixed_point(*_over(_mobius_matrix(cf.period, pre), pre, len(cf.preperiod)))
 
 
 def iter_convergents(cf: AnyCF, count: int) -> Iterator[Convergent]:

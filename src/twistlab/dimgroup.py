@@ -12,7 +12,6 @@ Perron root; "undecided" means a zero pairing on a nonzero vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -20,25 +19,11 @@ from math import gcd
 from operator import or_
 from typing import Optional
 
-from .contfrac import _fixed_point, _mobius_matrix, is_primitive as word_is_primitive
-from .surd import QuadraticSurd
-from . import torus
-
-
-class DimGroupError(ValueError):
-    """Domain error in dimension-group construction or queries."""
-
-
-class NotPrimitiveMatrixError(DimGroupError):
-    pass
-
-
-class SingularMatrixError(DimGroupError):
-    pass
-
-
-class NotCFTypeError(DimGroupError):
-    """Rank-2 group whose Perron eigenvalue is rational."""
+# the other layers through their module objects: each loads only when a
+# verb first calls into it, so a group given by phi loads none of them
+from . import contfrac, surd, torus
+from ._value import Value
+from .errors import DimGroupError, NotCFTypeError, NotPrimitiveMatrixError, SingularMatrixError
 
 
 class Positivity(Enum):
@@ -100,22 +85,24 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class K0Element:
-    stage: int
-    vector: tuple[int, ...]
+class K0Element(Value):
+    _fields = ("stage", "vector")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _integers(self.vector, "vector"))
-        if type(self.stage) is not int:
-            raise DimGroupError(f"stage must be an integer, got {self.stage!r}")
-        if self.stage < 0:
+    def __init__(self, stage: int, vector):
+        vector = _integers(vector, "vector")
+        if type(stage) is not int:
+            raise DimGroupError(f"stage must be an integer, got {stage!r}")
+        if stage < 0:
             raise DimGroupError("stage must be nonnegative")
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "vector", vector)
 
 
-@dataclass(frozen=True)
-class StationaryDimensionGroup:
-    phi: Matrix
+class StationaryDimensionGroup(Value):
+    _fields = ("phi",)
+
+    def __init__(self, phi: Matrix):
+        object.__setattr__(self, "phi", phi)
 
     @property
     def rank(self) -> int:
@@ -150,9 +137,9 @@ def from_cf_period(period) -> StationaryDimensionGroup:
     word = _integers(period, "period")
     if not word or any(b < 1 for b in word):
         raise DimGroupError("period must be a nonempty positive word")
-    if not word_is_primitive(word):
+    if not contfrac.is_primitive(word):
         raise DimGroupError(f"not primitive: {word}")
-    m11, m12, m21, m22 = _mobius_matrix(word)
+    m11, m12, m21, m22 = contfrac._mobius_matrix(word)
     return StationaryDimensionGroup(((m11, m12), (m21, m22)))
 
 
@@ -341,14 +328,14 @@ def shift(g: StationaryDimensionGroup, e: K0Element) -> K0Element:
     return K0Element(e.stage, _mat_vec(g.phi, e.vector))
 
 
-def rank2_slope(g: StationaryDimensionGroup) -> QuadraticSurd:
+def rank2_slope(g: StationaryDimensionGroup) -> surd.QuadraticSurd:
     """The positive fixed point of the Mobius action of phi: the exact
     Perron eigenvector slope.  For phi built from a CF period this is
     the purely periodic value of that period."""
     if g.rank != 2:
         raise DimGroupError("slope is defined for rank 2 only")
     (a, b), (c, d) = g.phi
-    x = _fixed_point(a, b, c, d)
+    x = contfrac._fixed_point(a, b, c, d)
     if x.is_rational:
         raise NotCFTypeError("rational Perron eigenvalue: not of CF type")
     return x

@@ -8,42 +8,35 @@ rational u.  The gap between the two levels is exactly the twist family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-
-class CurveError(ValueError):
-    """Domain error in elliptic-curve operations."""
-
-
-class SingularCurveError(CurveError):
-    pass
+from ._value import Value
+from .errors import CurveError, SingularCurveError
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    A: Fraction
-    B: Fraction
+class EllipticCurve(Value):
+    _fields = ("A", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
-            raise SingularCurveError(f"singular curve: A={self.A}, B={self.B}")
+    def __init__(self, A, B):
+        A, B = Fraction(A), Fraction(B)
+        if 4 * A**3 + 27 * B**2 == 0:
+            raise SingularCurveError(f"singular curve: A={A}, B={B}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     def __str__(self):
         return f"y^2 = x^3 + ({self.A})x + ({self.B})"
 
 
-@dataclass(frozen=True)
-class TwistParameter:
-    t: Fraction
+class TwistParameter(Value):
+    _fields = ("t",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        if self.t == 0:
+    def __init__(self, t):
+        t = Fraction(t)
+        if t == 0:
             raise CurveError("twist parameter must be nonzero")
+        object.__setattr__(self, "t", t)
 
 
 def j_invariant(e: EllipticCurve) -> Fraction:

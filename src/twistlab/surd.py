@@ -9,25 +9,11 @@ real numbers.  Everything here is big-integer exact; no floats.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-
-class SurdError(ValueError):
-    """Base for domain errors in quadratic-surd arithmetic."""
-
-
-class IncompatibleFieldsError(SurdError):
-    """Binary operation on surds from distinct quadratic fields."""
-
-
-class SurdParseError(SurdError):
-    """Malformed surd literal; carries the offending column."""
-
-    def __init__(self, message: str, column: int):
-        super().__init__(f"{message} (column {column})")
-        self.column = column
+from ._value import Value
+from .errors import IncompatibleFieldsError, SurdError, SurdParseError
 
 
 _TRIAL_BOUND = 10_000
@@ -126,24 +112,24 @@ def _sign3(u: int, v: int, m: int, w: int, n: int) -> int:
     return (1 if u > 0 else -1) if diff > 0 else rad
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(Value):
     """Canonical (p + q*sqrt(d))/r.  Construct via normalize()."""
 
-    p: int
-    q: int
-    r: int
-    d: int
+    _fields = ("p", "q", "r", "d")
 
-    def __post_init__(self):
-        if self.r <= 0:
+    def __init__(self, p: int, q: int, r: int, d: int):
+        if r <= 0:
             raise SurdError("denominator must be positive")
-        if self.d < 1:
+        if d < 1:
             raise SurdError("radicand must be >= 1")
-        if (self.d == 1) != (self.q == 0):
+        if (d == 1) != (q == 0):
             raise SurdError("rational surds must carry q = 0, d = 1")
-        if gcd(gcd(self.p, self.q), self.r) != 1:
+        if gcd(gcd(p, q), r) != 1:
             raise SurdError("surd tuple not reduced; use normalize()")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", d)
 
     # -- construction -------------------------------------------------
 
@@ -370,17 +356,17 @@ class QuadraticSurd:
         return f"~{float(approx / self.r):.{digits}g}"
 
 
-@dataclass(frozen=True)
-class QuadraticPolynomial:
+class QuadraticPolynomial(Value):
     """c2 x^2 + c1 x + c0, primitive, c2 > 0."""
 
-    c2: int
-    c1: int
-    c0: int
+    _fields = ("c2", "c1", "c0")
 
-    def __post_init__(self):
-        if self.c2 <= 0:
+    def __init__(self, c2: int, c1: int, c0: int):
+        if c2 <= 0:
             raise SurdError("quadratic leading coefficient must be positive")
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", c0)
 
     @property
     def discriminant(self) -> int:
@@ -390,12 +376,14 @@ class QuadraticPolynomial:
         return x * x * self.c2 + x * self.c1 + self.c0
 
 
-@dataclass(frozen=True)
-class LinearPolynomial:
+class LinearPolynomial(Value):
     """c1 x + c0 with c1 > 0; the rational (degree-1) case."""
 
-    c1: int
-    c0: int
+    _fields = ("c1", "c0")
+
+    def __init__(self, c1: int, c0: int):
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", c0)
 
     def evaluate(self, x: QuadraticSurd) -> QuadraticSurd:
         return x * self.c1 + self.c0

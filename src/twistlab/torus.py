@@ -9,28 +9,25 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from ._value import Value
 from .contfrac import EventuallyPeriodicCF, _transfer, expand_surd, least_rotation
+from .errors import TorusError
 from .surd import QuadraticSurd
 
 
-class TorusError(ValueError):
-    """Domain error in torus classification."""
+class TorusParameter(Value):
+    _fields = ("theta",)
 
-
-@dataclass(frozen=True)
-class TorusParameter:
-    theta: QuadraticSurd
-
-    def __post_init__(self):
-        if self.theta.is_rational:
+    def __init__(self, theta: QuadraticSurd):
+        if theta.is_rational:
             raise TorusError("rotation parameter must be irrational")
+        object.__setattr__(self, "theta", theta)
 
-    # cached_property writes the instance __dict__ directly, which a
-    # frozen dataclass allows: each parameter is expanded and its period
+    # cached_property writes the instance __dict__ directly, past the
+    # refused assignment: each parameter is expanded and its period
     # rotated at most once, however many verbs ask.
     @cached_property
     def expansion(self) -> EventuallyPeriodicCF:
@@ -42,16 +39,16 @@ class TorusParameter:
         return least_rotation(self.expansion.period)
 
 
-@dataclass(frozen=True)
-class UnimodularWitness:
+class UnimodularWitness(Value):
     """Integer 2x2 matrix [[a, b], [c, d]] with det = +-1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         if self.det not in (1, -1):
             raise TorusError(f"matrix {self.rows()} is not unimodular")
 

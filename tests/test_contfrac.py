@@ -204,6 +204,26 @@ class TestValueOf:
     def test_finite_back_substitution(self):
         assert value_of(FiniteCF((3, 7, 16))).to_fraction() == Fraction(355, 113)
 
+    @given(periodic_cfs())
+    @example(EventuallyPeriodicCF(tuple(i % 7 + 1 for i in range(300)), (2, 1, 3)))
+    @example(EventuallyPeriodicCF((), (1,)))
+    @settings(max_examples=100, deadline=None)
+    def test_each_word_multiplied_once(self, cf):
+        # M(pre + period) continues the product M(pre): a long preperiod
+        # is multiplied out once, not twice
+        fed = []
+        mobius_matrix = contfrac._mobius_matrix
+
+        def counting(terms, *start):
+            terms = tuple(terms)
+            fed.append(len(terms))
+            return mobius_matrix(terms, *start)
+
+        with patch.object(contfrac, "_mobius_matrix", counting):
+            x = value_of(cf)
+        assert sum(fed) == len(cf.preperiod) + len(cf.period)
+        assert expand_surd(x) == cf
+
 
 class TestConvergents:
     def test_sqrt2_convergents(self):
