@@ -2,9 +2,11 @@
 
 One binary with dotted verbs (cf.expand, torus.morita, curve.j, ...)
 plus a `batch` mode that runs a JSON array of commands.  All numeric
-output is exact strings; identical invocations produce byte-identical
-output.  Exit codes: 0 success (batch entry errors included), 1 usage
-or parse error, 2 domain error in single-command mode.
+output is exact (surds and fractions as strings, integers as JSON
+integers); a result too long to print is the verb's domain error, and
+identical invocations produce byte-identical output.  Exit codes: 0
+success (batch entry errors included), 1 usage or parse error, 2 domain
+error in single-command mode.
 """
 
 from __future__ import annotations
@@ -97,6 +99,15 @@ def _cf_from_args(args: dict):
     raise UsageError("expected 'terms' or 'preperiod'/'period'")
 
 
+def _text(x, error: type, what: str = "result too long to print") -> str:
+    """str(x) for an exact result printed as a string; an int in x past
+    the interpreter's digit limit raises error, naming what."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise error(f"{what}: {exc}")
+
+
 def _cf_json(cf) -> dict:
     if isinstance(cf, contfrac.FiniteCF):
         return {"terms": list(cf.terms)}
@@ -113,7 +124,7 @@ def _cmd_cf_expand(args: dict) -> dict:
 
 
 def _cmd_cf_value(args: dict) -> dict:
-    return {"value": surd.format_surd(contfrac.value_of(_cf_from_args(args)))}
+    return {"value": _text(contfrac.value_of(_cf_from_args(args)), CFError)}
 
 
 @cache
@@ -135,10 +146,7 @@ def _cmd_cf_convergents(args: dict) -> dict:
     for c in contfrac.iter_convergents(cf, count):
         widest = max(abs(c.p), abs(c.q))
         if ceiling and widest >= ceiling:
-            try:
-                str(widest)
-            except ValueError as exc:
-                raise CFError(f"convergent {c.index} is too long to print: {exc}")
+            _text(widest, CFError, f"convergent {c.index} is too long to print")
         found.append(c)
     return {"convergents": [f"{c.p}/{c.q}" for c in found]}
 
@@ -173,7 +181,7 @@ def _cmd_dimgroup_from_period(args: dict) -> dict:
         "rank": g.rank,
         "det": g.determinant,
         "shift_automorphism": g.shift_is_automorphism,
-        "slope": surd.format_surd(dimgroup.rank2_slope(g)),
+        "slope": _text(dimgroup.rank2_slope(g), DimGroupError),
     }
 
 
@@ -205,20 +213,13 @@ def _curve(args: dict, a_key: str = "A", b_key: str = "B") -> elliptic.EllipticC
     return elliptic.EllipticCurve(_fraction_arg(args, a_key), _fraction_arg(args, b_key))
 
 
-def _curve_text(x: Fraction) -> str:
-    try:
-        return str(x)
-    except ValueError as exc:  # beyond the interpreter's digit limit
-        raise CurveError(f"result too long to print: {exc}")
-
-
 def _cmd_curve_j(args: dict) -> dict:
-    return {"j": _curve_text(elliptic.j_invariant(_curve(args)))}
+    return {"j": _text(elliptic.j_invariant(_curve(args)), CurveError)}
 
 
 def _cmd_curve_twist(args: dict) -> dict:
     e = elliptic.twist(_curve(args), elliptic.TwistParameter(_fraction_arg(args, "t")))
-    return {"A": _curve_text(e.A), "B": _curve_text(e.B)}
+    return {"A": _text(e.A, CurveError), "B": _text(e.B, CurveError)}
 
 
 def _cmd_curve_iso(args: dict) -> dict:
@@ -228,13 +229,13 @@ def _cmd_curve_iso(args: dict) -> dict:
     return {
         "c_isomorphic": elliptic.c_isomorphic(e1, e2),
         "q_isomorphic": q_iso,
-        "u": _curve_text(u) if u is not None else None,
+        "u": _text(u, CurveError) if u is not None else None,
     }
 
 
 def _cmd_curve_twist_between(args: dict) -> dict:
     t = elliptic.twist_between(_curve(args, "A1", "B1"), _curve(args, "A2", "B2"))
-    return {"t": _curve_text(t.t)}
+    return {"t": _text(t.t, CurveError)}
 
 
 VERBS = {
@@ -264,7 +265,8 @@ def run_command(verb: str, args: dict) -> dict:
 
 def run_batch(entries: list) -> list:
     """Run a batch; responses align positionally with the requests and a
-    failing entry never aborts the rest."""
+    failing entry never aborts the rest.  Results hold exact Python
+    values; main prints them, or an error for one too long to print."""
     if not isinstance(entries, list):
         raise UsageError("batch must be a JSON array")
     ids = []
@@ -280,16 +282,37 @@ def run_batch(entries: list) -> list:
             result = run_command(entry["verb"], entry.get("args", {}))
             return {"id": entry["id"], "status": "ok", "result": result}
         except UsageError as exc:
-            return {"id": entry["id"], "status": "error",
-                    "message": str(exc), "kind": "usage"}
+            return _failed(entry["id"], str(exc), "usage")
         except DOMAIN_ERRORS as exc:
-            return {"id": entry["id"], "status": "error",
-                    "message": str(exc), "kind": type(exc).__name__}
+            return _failed(entry["id"], str(exc), type(exc).__name__)
         except Exception as exc:  # a fault of the program: report it, keep going
-            return {"id": entry["id"], "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}", "kind": "internal"}
+            return _failed(entry["id"], f"{type(exc).__name__}: {exc}", "internal")
 
     return [one(entry) for entry in entries]
+
+
+def _failed(entry_id, message: str, kind: str) -> dict:
+    return {"id": entry_id, "status": "error", "message": message, "kind": kind}
+
+
+# the domain error of each verb family
+_VERB_ERRORS = {"cf": CFError, "torus": TorusError, "dimgroup": DimGroupError, "curve": CurveError}
+
+
+def _too_long(verb: str, exc: ValueError) -> Exception:
+    """verb's domain error for a result holding an int past the
+    interpreter's digit limit, which json.dumps refuses to print."""
+    return _VERB_ERRORS[verb.partition(".")[0]](f"result too long to print: {exc}")
+
+
+def _printable(response: dict, verb: str) -> dict:
+    """A batch response, or its verb's domain error if it cannot be printed."""
+    try:
+        json.dumps(response)
+    except ValueError as exc:
+        error = _too_long(verb, exc)
+        return _failed(response["id"], str(error), type(error).__name__)
+    return response
 
 
 def main(argv=None) -> int:
@@ -308,8 +331,20 @@ def main(argv=None) -> int:
     parser.add_argument("--pretty", action="store_true", help="indented JSON")
     opts = parser.parse_args(argv)
 
-    def emit(obj):
-        text = json.dumps(obj, indent=2 if opts.pretty else None) + "\n"
+    def emit(obj, requests=None):
+        """Print obj as JSON, the one place a result's ints become text.
+        When one is past the interpreter's digit limit, its verb's domain
+        error is raised for a single command and put in place of each
+        batch response that holds one (requests align with obj); output
+        that prints at once is never checked entry by entry."""
+        indent = 2 if opts.pretty else None
+        try:
+            text = json.dumps(obj, indent=indent) + "\n"
+        except ValueError as exc:
+            if requests is None:
+                raise _too_long(opts.verb, exc)
+            obj = [_printable(r, entry["verb"]) for r, entry in zip(obj, requests)]
+            text = json.dumps(obj, indent=indent) + "\n"
         if opts.outfile:
             with open(opts.outfile, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -328,7 +363,10 @@ def main(argv=None) -> int:
         except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise UsageError(f"malformed JSON input: {exc}")
 
-        emit(run_batch(payload) if opts.verb == "batch" else run_command(opts.verb, payload))
+        if opts.verb == "batch":
+            emit(run_batch(payload), payload)
+        else:
+            emit(run_command(opts.verb, payload))
         return 0
     except (UsageError, OSError) as exc:
         print(f"twistlab: {exc}", file=sys.stderr)

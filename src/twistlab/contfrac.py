@@ -20,11 +20,27 @@ from ._value import Value
 from .errors import CFError, NotPrimitiveError
 
 
-# Most terms expand_surd produces, preperiod and period together: about
-# 0.3 s of the state recursion.  The period of sqrt(d) has up to about
-# sqrt(d) terms (532572 at d = 10^12 + 39); the tests and the benchmark
-# stay below 400.
+# Most terms expand_surd produces, preperiod and period together, for a
+# radicand D of up to 64 bits: about 0.5 s of the state recursion.  The
+# period of sqrt(d) has up to about sqrt(d) terms (532572 at d = 10^12 + 39);
+# no test or benchmark entry uses more than 1/400 of the budget at its size.
 TERM_BUDGET = 10**6
+# A term costs about 1 + (bits / _TERM_COST_BITS)^2 times what it costs at
+# 64 bits: a fixed overhead, then CPython's quadratic division of D - P^2.
+# With the budget scaled by that cost, the error came within 0.36-0.78 s at
+# every size from 64 to 71401 bits, the most a surd literal reaches (2-vCPU
+# VM, Python 3.11).
+_TERM_COST_BITS = 768
+
+
+def _term_budget(D: int) -> int:
+    """TERM_BUDGET scaled down by the cost of a term at D's bit size, so the
+    budget bounds the time at every size; TERM_BUDGET up to 64 bits."""
+    bits = D.bit_length()
+    if bits <= 64:
+        return TERM_BUDGET
+    unit = _TERM_COST_BITS * _TERM_COST_BITS
+    return TERM_BUDGET * (unit + 64 * 64) // (unit + bits * bits)
 
 
 def is_primitive(word: tuple[int, ...]) -> bool:
@@ -174,7 +190,7 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     Galois's theorem exactly the reduced states have purely periodic
     expansions: the preperiod ends at the first reduced state and the
     period ends when that state comes back.  An expansion of more than
-    TERM_BUDGET terms in all raises CFError.
+    _term_budget(D) terms in all raises CFError.
     """
     if x.is_rational:
         raise CFError("rational input: use expand_rational")
@@ -187,8 +203,9 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
         scale = abs(Q)
         P, Q, D = P * scale, Q * scale, D * scale * scale
     root = isqrt(D)
+    budget = _term_budget(D)
     terms: list[int] = []
-    for _ in repeat(None, TERM_BUDGET):
+    for _ in repeat(None, budget):
         if 0 < P <= root and root - P < Q <= root + P:
             break
         # Q < 0: the value lies strictly between P+root and P+root+1, and no
@@ -199,18 +216,18 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
         P = a * Q - P
         Q = (D - P * P) // Q
     else:
-        raise CFError(f"expansion longer than the budget of {TERM_BUDGET} terms")
+        raise CFError(f"expansion longer than the budget of {budget} terms")
     preperiod = tuple(terms)
     terms = []
     P0, Q0 = P, Q
-    for _ in repeat(None, TERM_BUDGET - len(preperiod)):
+    for _ in repeat(None, budget - len(preperiod)):
         a = (P + root) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
             return EventuallyPeriodicCF(preperiod, tuple(terms))
-    raise CFError(f"expansion longer than the budget of {TERM_BUDGET} terms")
+    raise CFError(f"expansion longer than the budget of {budget} terms")
 
 
 def _mobius_matrix(terms, start=(1, 0, 0, 1)) -> tuple[int, int, int, int]:

@@ -135,7 +135,7 @@ def from_cf_period(period) -> StationaryDimensionGroup:
     """phi = product of [[b_i, 1], [1, 0]] over a primitive period word;
     det = +-1 and phi^2 > 0, so it needs none of from_matrix's checks."""
     word = _integers(period, "period")
-    if not word or any(b < 1 for b in word):
+    if not word or min(word) < 1:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):
         raise DimGroupError(f"not primitive: {word}")
@@ -301,23 +301,6 @@ def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
         return Positivity.STRICTLY_POSITIVE
     if s < 0:
         return Positivity.STRICTLY_NEGATIVE
-    return Positivity.UNDECIDED
-
-
-def iteration_verdict(
-    g: StationaryDimensionGroup, e: K0Element, iteration_cap: int = 64
-) -> Positivity:
-    """The capped-iteration decision alone, at any rank (oracle route)."""
-    _check_vector(g, e)
-    v = e.vector
-    if all(x == 0 for x in v):
-        return Positivity.ZERO
-    for _ in range(iteration_cap):
-        if all(x > 0 for x in v):
-            return Positivity.STRICTLY_POSITIVE
-        if all(x < 0 for x in v):
-            return Positivity.STRICTLY_NEGATIVE
-        v = _mat_vec(g.phi, v)
     return Positivity.UNDECIDED
 
 

@@ -77,12 +77,8 @@ def _int_nth_root(m: int, n: int) -> Optional[int]:
 
 
 def _rational_nth_root(f: Fraction, n: int) -> Optional[Fraction]:
-    """Exact rational n-th root; for even n only the positive root."""
-    if f < 0:
-        if n % 2 == 0:
-            return None
-        r = _rational_nth_root(-f, n)
-        return -r if r is not None else None
+    """Exact positive rational n-th root for even n: None for f < 0, whose
+    numerator _int_nth_root refuses."""
     num = _int_nth_root(f.numerator, n)
     den = _int_nth_root(f.denominator, n)
     if num is None or den is None:

@@ -1,12 +1,14 @@
 """Independent oracles used by the unit and acceptance tests.
 
 These deliberately avoid the library's fast paths: term streams come
-from naive floor-and-invert in exact surd arithmetic, and equivalence
-search is a breadth-first walk over unimodular words.
+from naive floor-and-invert in exact surd arithmetic, equivalence
+search is a breadth-first walk over unimodular words, and positivity
+is capped iteration.
 """
 
 from __future__ import annotations
 
+from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import TorusParameter, UnimodularWitness, apply_mobius
 
@@ -77,3 +79,20 @@ def squarefree_up_to(limit: int) -> list[int]:
             flags[m] = False
         k += 1
     return [d for d in range(2, limit + 1) if flags[d]]
+
+
+def iteration_verdict(
+    g: StationaryDimensionGroup, e: K0Element, iteration_cap: int = 64
+) -> Positivity:
+    """The sign of e by pushing alone: the sign of the first push of its
+    vector that is entrywise signed, UNDECIDED after iteration_cap pushes."""
+    v = e.vector
+    if not any(v):
+        return Positivity.ZERO
+    for _ in range(iteration_cap):
+        if all(x > 0 for x in v):
+            return Positivity.STRICTLY_POSITIVE
+        if all(x < 0 for x in v):
+            return Positivity.STRICTLY_NEGATIVE
+        v = tuple(sum(a * b for a, b in zip(row, v)) for row in g.phi)
+    return Positivity.UNDECIDED

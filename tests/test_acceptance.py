@@ -25,7 +25,6 @@ from twistlab.dimgroup import (
     from_cf_period,
     from_matrix,
     is_positive,
-    iteration_verdict,
     rank2_morita_equivalent,
     rank2_slope,
 )
@@ -52,6 +51,7 @@ from twistlab.dimgroup import Positivity
 from oracles import (
     GENERATORS,
     brute_force_equivalent,
+    iteration_verdict,
     naive_cf_terms,
     squarefree_up_to,
 )

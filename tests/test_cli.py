@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import twistlab
 from twistlab.cli import VERBS, UsageError, main, run_batch, run_command
+from twistlab.contfrac import expand_surd
 from twistlab.surd import QuadraticSurd, parse_surd
 
 
@@ -269,6 +271,9 @@ class TestStrictRationals:
             run_command("curve.j", {"A": "1/" + "7" * 5000, "B": "1"})
 
 
+# 10^4298, the largest power of ten the interpreter prints
+TEN_4298 = "1" + "0" * 4298
+
 # Wielandt's matrix, a cycle plus one chord: primitive with the largest
 # exponent, n^2 - 2n + 2, of any n x n matrix
 WIELANDT_40 = [[int(j == i + 1 or (i == 39 and j < 2)) for j in range(40)] for i in range(40)]
@@ -309,6 +314,10 @@ BOUNDED = [
                  "DimGroupError", id="compare-over-bit-budget"),
     pytest.param("cf.convergents", {"period": [1], "count": 25000}, "CFError",
                  id="convergents-too-long-to-print"),
+    pytest.param("torus.invariant", {"theta": TEN_4298 + "*sqrt(10)"}, "CFError",
+                 id="invariant-huge-radicand"),
+    pytest.param("cf.value", {"preperiod": [3] * 9000, "period": [2]}, "CFError",
+                 id="value-too-long-to-print"),
 ]
 
 
@@ -385,6 +394,84 @@ def test_arbitrary_json_arguments(batch):
     got = run_batch(req)
     assert len(got) == len(req)
     assert [r for r in got if r.get("kind") == "internal"] == []
+
+
+@st.composite
+def long_words(draw):
+    """Words of terms 1..9 of up to 20000 terms, random or one term repeated."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    length = draw(st.integers(1, 400) | st.integers(4000, 20000))
+    if draw(st.booleans()):
+        return [rng.randint(1, 9) for _ in range(length)]
+    return [rng.randint(1, 9)] * length
+
+
+@st.composite
+def long_word_entries(draw):
+    word = draw(long_words())
+    shape = draw(st.sampled_from(["cf.value", "cf.value preperiod",
+                                  "dimgroup.from-period", "dimgroup.positive"]))
+    if shape == "cf.value preperiod":
+        return {"verb": "cf.value", "args": {"preperiod": word, "period": [word[-1] % 9 + 1]}}
+    args = {"period": word}
+    if shape == "dimgroup.positive":
+        args["vector"] = draw(st.lists(st.integers(-99, 99), min_size=2, max_size=2))
+    return {"verb": shape, "args": args}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(long_word_entries(), min_size=1, max_size=3))
+def test_long_words_through_main(tmp_path_factory, batch):
+    # every long word gets an answer or a typed error, printable entry by entry
+    req = [{"id": i, **entry} for i, entry in enumerate(batch)]
+    folder = tmp_path_factory.mktemp("long")
+    (folder / "in.json").write_text(json.dumps(req))
+    code = main(["batch", "--in", str(folder / "in.json"), "--out", str(folder / "out.json")])
+    assert code == 0
+    got = json.loads((folder / "out.json").read_text())
+    assert [r["id"] for r in got] == [r["id"] for r in req]
+    assert [r for r in got if r.get("kind") == "internal"] == []
+
+
+class TestUnprintableResults:
+    """Results with an int past the interpreter's 4300-digit limit for
+    printing; run_batch keeps them exact and main prints the verb's
+    domain error in their place."""
+
+    @pytest.fixture(scope="class")
+    def requests(self):
+        # the period of sqrt(1000000007) has 12352 terms; the entries of its
+        # phi have about 6400 digits, as does a0 of 10^6447
+        period = list(expand_surd(QuadraticSurd.sqrt_of(1000000007)).period)
+        return [
+            {"id": "phi", "verb": "dimgroup.from-period", "args": {"period": period}},
+            {"id": "a0", "verb": "cf.expand", "args": {"theta": f"{TEN_4298}*sqrt({TEN_4298})"}},
+            {"id": "j", "verb": "curve.j", "args": {"A": "1", "B": "0"}},
+        ]
+
+    def test_run_batch_keeps_exact_values(self, requests):
+        phi, a0, _ = run_batch(requests)
+        assert phi["result"]["phi"][0][0] > 10**6000
+        assert a0["result"] == {"terms": [10**6447]}
+
+    def test_batch_keeps_its_neighbour(self, requests, tmp_path, capsys):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(requests))
+        code, out, err = run_main(["batch", "--in", str(path)], capsys)
+        assert code == 0 and err == ""
+        phi, a0, j = json.loads(out)
+        for got, kind in ((phi, "DimGroupError"), (a0, "CFError")):
+            assert got["status"] == "error" and got["kind"] == kind
+            assert got["message"].startswith("result too long to print: ")
+        assert j == {"id": "j", "status": "ok", "result": {"j": "1728"}}
+
+    @pytest.mark.parametrize("index, kind", [(0, "DimGroupError"), (1, "CFError")])
+    def test_single_command(self, requests, index, kind, capsys):
+        entry = requests[index]
+        code, out, _ = run_main([entry["verb"], json.dumps(entry["args"])], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == kind and error["message"].startswith("result too long to print: ")
 
 
 class TestMainExitCodes:

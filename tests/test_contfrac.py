@@ -193,6 +193,19 @@ class TestExpandSurd:
         with pytest.raises(CFError, match="budget of 5 terms"):
             expand_surd(x)
 
+    def test_budget_shrinks_with_the_radicand(self):
+        # a term's cost grows with the bit size of D; the CLI's bounded-input
+        # rows time the expansion of 10^4298*sqrt(10), D of 28559 bits
+        budgets = [contfrac._term_budget(2**bits - 1) for bits in (1, 64, 65, 515, 28559)]
+        assert budgets == [contfrac.TERM_BUDGET] * 2 + [999782, 694603, 727]
+
+    def test_short_expansion_of_a_huge_radicand(self):
+        # x^2 - 2q^2 = -1 makes q*sqrt(2) = sqrt(x^2 + 1) = [x; (2x)]
+        x, q, digits = 1, 1, 10**3999
+        while q < digits:
+            x, q = 3 * x + 4 * q, 2 * x + 3 * q
+        assert expand_surd(S(0, q, 1, 2)) == EventuallyPeriodicCF((x,), (2 * x,))
+
 
 class TestValueOf:
     def test_periodic_2_is_silver_ratio(self):

@@ -18,13 +18,14 @@ from twistlab.dimgroup import (
     from_cf_period,
     from_matrix,
     is_positive,
-    iteration_verdict,
     rank2_morita_equivalent,
     rank2_slope,
     shift,
 )
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import apply_mobius
+
+from oracles import iteration_verdict
 
 S = QuadraticSurd.normalize
 FIB = from_matrix([[1, 1], [1, 0]])
@@ -351,6 +352,23 @@ class TestExactPositivityAtEveryRank:
                      (rank3, (big, -big, 0)), (rank3, (1, big, -1 - big))]:
             total = sum(v)
             assert is_positive(g, K0Element(0, v)) is want[(total > 0) - (total < 0)], v
+
+    def test_bisection_lowers_its_upper_end(self, monkeypatch):
+        # two pushes leave v unsigned, so _perron_sign decides; with the
+        # Perron root near 10.62 its bisection moves hi down at midpoint 12
+        calls = []
+        perron_sign = dimgroup._perron_sign
+
+        def spy(phi, v):
+            calls.append(v)
+            return perron_sign(phi, v)
+
+        monkeypatch.setattr(dimgroup, "_perron_sign", spy)
+        g = from_matrix([[3, 20], [1, 8]])
+        e = K0Element(0, (1000, -131))
+        assert is_positive(g, e) is Positivity.STRICTLY_POSITIVE
+        assert calls == [(1000, -131)]
+        assert iteration_verdict(g, e, 10**4) is Positivity.STRICTLY_POSITIVE
 
     def test_decides_past_the_old_cap(self):
         # companion matrix of x^3 - x - 1, det 1: v = phi^-120 (1, -1, 0)

@@ -20,12 +20,11 @@ from twistlab.dimgroup import (
     Positivity,
     from_cf_period,
     is_positive,
-    iteration_verdict,
     rank2_slope,
 )
 from twistlab.surd import QuadraticSurd, SurdError
 
-from oracles import squarefree_up_to
+from oracles import iteration_verdict, squarefree_up_to
 
 # d -> period length of sqrt(d); 100003 is prime, so the raw discriminant
 # of its period matrix leaves a huge cofactor after trial division

@@ -81,6 +81,16 @@ class TestNormalize:
         with pytest.raises(SurdError):
             S(1, 1, 1, -3)
 
+    def test_square_cofactor_past_trial_division(self, monkeypatch):
+        # 200280098 = 2 * 10007^2: trial division leaves 10007^2, above the
+        # trial-division square, and the perfect-square check takes it
+        def refuse(n, *args, **kwargs):
+            raise AssertionError(f"factorint called on {n}")
+
+        monkeypatch.setattr("sympy.factorint", refuse)
+        assert parse_surd("sqrt(200280098)") == parse_surd("10007*sqrt(2)")
+        assert format_surd(QuadraticSurd.sqrt_of(200280098)) == "10007*sqrt(2)"
+
     @given(surds())
     def test_idempotent(self, x):
         assert S(x.p, x.q, x.r, x.d) == x
