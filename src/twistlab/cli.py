@@ -21,7 +21,7 @@ from typing import Optional
 
 # the layers are loaded lazily (see __init__): a verb runs only the ones it calls
 from . import contfrac, dimgroup, elliptic, surd, torus
-from .errors import CFError, CurveError, DimGroupError, SurdError, TorusError
+from .errors import CFError, CurveError, DimGroupError, SurdError, TorusError, digit_limit_text
 
 
 class UsageError(Exception):
@@ -52,8 +52,8 @@ def _int(value, what: str) -> int:
     if isinstance(value, str) and _INT_TEXT.fullmatch(value):
         try:
             return int(value)
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise UsageError(f"{what}: {exc}")
+        except ValueError:  # beyond the interpreter's digit limit
+            raise UsageError(f"{what}: {digit_limit_text()}") from None
     raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
@@ -104,8 +104,8 @@ def _text(x, error: type, what: str = "result too long to print") -> str:
     the interpreter's digit limit raises error, naming what."""
     try:
         return str(x)
-    except ValueError as exc:
-        raise error(f"{what}: {exc}")
+    except ValueError:
+        raise error(f"{what}: {digit_limit_text()}") from None
 
 
 def _cf_json(cf) -> dict:
@@ -299,18 +299,18 @@ def _failed(entry_id, message: str, kind: str) -> dict:
 _VERB_ERRORS = {"cf": CFError, "torus": TorusError, "dimgroup": DimGroupError, "curve": CurveError}
 
 
-def _too_long(verb: str, exc: ValueError) -> Exception:
+def _too_long(verb: str) -> Exception:
     """verb's domain error for a result holding an int past the
     interpreter's digit limit, which json.dumps refuses to print."""
-    return _VERB_ERRORS[verb.partition(".")[0]](f"result too long to print: {exc}")
+    return _VERB_ERRORS[verb.partition(".")[0]](f"result too long to print: {digit_limit_text()}")
 
 
 def _printable(response: dict, verb: str) -> dict:
     """A batch response, or its verb's domain error if it cannot be printed."""
     try:
         json.dumps(response)
-    except ValueError as exc:
-        error = _too_long(verb, exc)
+    except ValueError:
+        error = _too_long(verb)
         return _failed(response["id"], str(error), type(error).__name__)
     return response
 
@@ -340,9 +340,9 @@ def main(argv=None) -> int:
         indent = 2 if opts.pretty else None
         try:
             text = json.dumps(obj, indent=indent) + "\n"
-        except ValueError as exc:
+        except ValueError:
             if requests is None:
-                raise _too_long(opts.verb, exc)
+                raise _too_long(opts.verb) from None
             obj = [_printable(r, entry["verb"]) for r, entry in zip(obj, requests)]
             text = json.dumps(obj, indent=indent) + "\n"
         if opts.outfile:
@@ -360,8 +360,10 @@ def main(argv=None) -> int:
                 raw = fh.read()
         try:
             payload = json.loads(raw) if raw is not None else {}
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        except json.JSONDecodeError as exc:
             raise UsageError(f"malformed JSON input: {exc}")
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise UsageError(f"malformed JSON input: {digit_limit_text()}") from None
 
         if opts.verb == "batch":
             emit(run_batch(payload), payload)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 from operator import or_
 from typing import Optional
@@ -108,7 +108,10 @@ class StationaryDimensionGroup(Value):
     def rank(self) -> int:
         return len(self.phi)
 
-    @property
+    # computed once per group (cached_property writes the instance
+    # __dict__ past the refused assignment): dimgroup.from-period reads it
+    # for det and again through shift_is_automorphism
+    @cached_property
     def determinant(self) -> int:
         return _det(self.phi)
 

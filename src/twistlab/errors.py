@@ -1,9 +1,18 @@
-"""The domain errors of every layer, in one module that imports nothing.
+"""The domain errors of every layer, in one module that imports no layer.
 
 Each layer re-exports its own classes (twistlab.surd.SurdError is
 twistlab.errors.SurdError), so the CLI can catch all of them, and report
 each by its class name, without loading a layer.
 """
+
+import sys
+
+
+def digit_limit_text() -> str:
+    """The message for an int past the interpreter's digit limit for
+    int/str conversion.  The ValueError's own text differs between Python
+    versions; this one names the limit and reads the same on all."""
+    return f"integer longer than the limit of {sys.get_int_max_str_digits()} digits"
 
 
 class SurdError(ValueError):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ._value import Value
-from .errors import IncompatibleFieldsError, SurdError, SurdParseError
+from .errors import IncompatibleFieldsError, SurdError, SurdParseError, digit_limit_text
 
 
 _TRIAL_BOUND = 10_000
@@ -38,20 +38,22 @@ def _small_primes() -> list[int]:
 def _squarefree_decompose(d: int) -> tuple[int, int]:
     """Return (s, d0) with d = s^2 * d0 and d0 squarefree.
 
-    Sieved trial division removes every prime factor up to the bound.
-    A leftover below the bound squared has no factor up to its square
-    root, so it is 1 or a prime.  A larger leftover is resolved by a
-    perfect-square check, then by sympy.factorint while it is at most
-    _FACTOR_BITS long; a longer one raises SurdError rather than factor
-    without a time bound.  Fixed points of period matrices are built
-    from primitive forms (contfrac._fixed_point), so the square factor
-    that grows with the period length never arrives here; only user
-    input (large radicands, long arbitrary period words) reaches
-    factorint or the error.
+    Sieved trial division removes prime factors in increasing order and
+    stops at the first prime p with p^3 above the cofactor d left, or at
+    the bound.  Below the bound cubed, every prime factor of d then
+    exceeds the cube root of d, so d is 1, q, q^2 or q*r, and a
+    perfect-square check settles it.  A larger leftover, past the same
+    check, goes to sympy.factorint while it is at most _FACTOR_BITS
+    long; a longer one raises SurdError rather than factor without a
+    time bound.  Fixed points of period matrices are built from
+    primitive forms (contfrac._fixed_point), so the square factor that
+    grows with the period length never arrives here; only user input
+    (large radicands, long arbitrary period words) reaches factorint or
+    the error.
     """
     s, sf = 1, 1
     for p in _small_primes():
-        if p * p > d:
+        if p * p * p > d:
             break
         if d % p == 0:
             e = 1
@@ -62,24 +64,23 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 sf *= p
-    if d >= _TRIAL_BOUND * _TRIAL_BOUND:
-        root = isqrt(d)
-        if root * root == d:
-            return s * root, sf
-        if d.bit_length() > _FACTOR_BITS:
-            raise SurdError(
-                f"radicand too large to certify squarefree: a cofactor of "
-                f"{d.bit_length()} bits has no prime factor below {_TRIAL_BOUND}"
-            )
-        from sympy import factorint
+    root = isqrt(d)
+    if root * root == d:
+        return s * root, sf
+    if d < _TRIAL_BOUND**3:  # q or q*r for primes q != r
+        return s, sf * d
+    if d.bit_length() > _FACTOR_BITS:
+        raise SurdError(
+            f"radicand too large to certify squarefree: a cofactor of "
+            f"{d.bit_length()} bits has no prime factor below {_TRIAL_BOUND}"
+        )
+    from sympy import factorint
 
-        for p, e in factorint(d).items():
-            s *= p ** (e // 2)
-            if e % 2:
-                sf *= p
-        return s, sf
-    # no factor <= min(bound, sqrt(d)) remains and d < bound^2: squarefree
-    return s, sf * d
+    for p, e in factorint(d).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            sf *= p
+    return s, sf
 
 
 def _sign2(a: int, b: int, k: int) -> int:
@@ -393,11 +394,20 @@ class LinearPolynomial(Value):
 #
 # Grammar:  "(p + q*sqrt(d))/r"  with optional signs and omitted unit
 # parts, e.g. "sqrt(2)", "-3", "3/4", "(1+sqrt(5))/2", "(1-2*sqrt(3))/4".
+# _LITERAL reads a well-formed literal in one match; the _Scanner below
+# accepts exactly the same language and runs only to place an error.
 
 
 # Digits are ASCII 0-9 only: str.isdigit also takes other scripts'
-# digits and superscripts.
+# digits and superscripts.  \s is str.isspace, the scanner's skip_ws.
+# In _LITERAL each token takes the whitespace after it, so no two \s*
+# meet and a failed match backtracks in linear time, not cubic.
 _DIGITS = re.compile(r"[0-9]*")
+_SQRT = r"(?:([0-9]+)\s*\*\s*)?sqrt\s*\(\s*([+-]?[0-9]+)\s*\)\s*"  # [k*]sqrt(d)
+_LITERAL = re.compile(
+    rf"\s*(\(\s*)?(?:([+-])\s*)?(?:{_SQRT}|([0-9]+)\s*(?:([+-])\s*{_SQRT})?)"
+    r"(?(1)\)\s*)(?:/\s*([+-]?[0-9]+)\s*)?"
+)
 
 
 def _is_digit(ch: str) -> bool:
@@ -436,8 +446,8 @@ class _Scanner:
         self.pos = end
         try:
             return int(text[start:end])
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise SurdParseError(f"integer too long: {exc}", start)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise SurdParseError(digit_limit_text(), start) from None
 
     def try_keyword(self, word: str) -> bool:
         if self.text.startswith(word, self.pos):
@@ -490,8 +500,9 @@ def _parse_numerator(sc: _Scanner) -> tuple[int, int, int]:
     return first, 0, 1
 
 
-def parse_surd(text: str) -> QuadraticSurd:
-    """Parse a surd literal into canonical form."""
+def _scan_surd(text: str) -> QuadraticSurd:
+    """parse_surd by the scanner alone: the reference for _LITERAL, and
+    the place every SurdParseError and its column come from."""
     sc = _Scanner(text)
     sc.skip_ws()
     if sc.peek() == "(":
@@ -510,6 +521,33 @@ def parse_surd(text: str) -> QuadraticSurd:
     if sc.pos != len(sc.text):
         raise SurdParseError("trailing characters", sc.pos)
     return QuadraticSurd.normalize(p, q, r, d)
+
+
+def _matched(groups) -> tuple[int, int, int, int]:
+    """(p, q, r, d) from the groups of a _LITERAL match; int() raises
+    ValueError for a digit run past the interpreter's digit limit."""
+    _, sign, k, d, n, term_sign, term_k, term_d, r = groups
+    sign = -1 if sign == "-" else 1
+    r = int(r) if r else 1
+    if d:  # [k*]sqrt(d)
+        return 0, sign * int(k or 1), r, int(d)
+    if term_d:  # n +- [k*]sqrt(d)
+        q = int(term_k or 1)
+        return sign * int(n), -q if term_sign == "-" else q, r, int(term_d)
+    return sign * int(n), 0, r, 1
+
+
+def parse_surd(text: str) -> QuadraticSurd:
+    """Parse a surd literal into canonical form."""
+    match = _LITERAL.fullmatch(text)
+    if match:
+        try:
+            p, q, r, d = _matched(match.groups())
+        except ValueError:  # the scanner raises the digit-limit error
+            pass
+        else:
+            return QuadraticSurd.normalize(p, q, r, d)
+    return _scan_surd(text)
 
 
 def format_surd(x: QuadraticSurd) -> str:

@@ -77,11 +77,20 @@ class UnimodularWitness(Value):
 
 
 def apply_mobius(m: UnimodularWitness, t: TorusParameter) -> TorusParameter:
-    """(a*theta + b) / (c*theta + d), exact."""
+    """(a*theta + b) / (c*theta + d), exact, in one integer step.
+
+    For theta = (p + q*sqrt(k))/r the image is (n0 + n1*sqrt(k)) /
+    (e0 + e1*sqrt(k)) with n = (a*p + b*r, a*q), e = (c*p + d*r, c*q);
+    times the conjugate, its denominator is the norm e0^2 - e1^2*k.  That
+    norm is never 0: theta is irrational, and det = +-1 rules out
+    c = d = 0.  k is theta's squarefree radicand, so nothing is factored."""
     theta = t.theta
-    num = theta * m.a + m.b
-    den = theta * m.c + m.d
-    return TorusParameter(num / den)
+    p, q, r, k = theta.p, theta.q, theta.r, theta.d
+    n0, n1 = m.a * p + m.b * r, m.a * q
+    e0, e1 = m.c * p + m.d * r, m.c * q
+    return TorusParameter(
+        QuadraticSurd._reduced(n0 * e0 - n1 * e1 * k, n1 * e0 - n0 * e1, e0 * e0 - e1 * e1 * k, k)
+    )
 
 
 def isomorphic(t1: TorusParameter, t2: TorusParameter) -> bool:

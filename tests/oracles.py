@@ -1,16 +1,16 @@
 """Independent oracles used by the unit and acceptance tests.
 
 These deliberately avoid the library's fast paths: term streams come
-from naive floor-and-invert in exact surd arithmetic, equivalence
-search is a breadth-first walk over unimodular words, and positivity
-is capped iteration.
+from naive floor-and-invert in exact surd arithmetic, Mobius images from
+surd operators, equivalence search is a breadth-first walk over
+unimodular words, and positivity is capped iteration.
 """
 
 from __future__ import annotations
 
 from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
 from twistlab.surd import QuadraticSurd
-from twistlab.torus import TorusParameter, UnimodularWitness, apply_mobius
+from twistlab.torus import TorusParameter, UnimodularWitness
 
 # generators of the unimodular group: translation, its inverse,
 # inversion-rotation, and a determinant -1 swap
@@ -61,12 +61,17 @@ def unimodular_ball(length: int) -> list[UnimodularWitness]:
     return out
 
 
+def mobius_by_operators(m: UnimodularWitness, theta: QuadraticSurd) -> QuadraticSurd:
+    """(theta*a + b) / (theta*c + d) in five surd operations."""
+    return (theta * m.a + m.b) / (theta * m.c + m.d)
+
+
 def brute_force_equivalent(
     t1: TorusParameter, t2: TorusParameter, length: int = 12
 ) -> UnimodularWitness | None:
     """Search every unimodular word up to `length` for a map t1 -> t2."""
     for m in unimodular_ball(length):
-        if apply_mobius(m, t1).theta == t2.theta:
+        if mobius_by_operators(m, t1.theta) == t2.theta:
             return m
     return None
 

@@ -15,6 +15,11 @@ from twistlab.contfrac import expand_surd
 from twistlab.surd import QuadraticSurd, parse_surd
 
 
+# the fixed text for an int past the default limit on int/str conversion,
+# the same on every Python version
+DIGIT_LIMIT_4300 = "integer longer than the limit of 4300 digits"
+
+
 def run_main(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -163,7 +168,8 @@ class TestBatch:
         ]
         got = run_batch(req)
         assert len(got) == 2
-        assert got[0]["status"] == "error" and got[0]["kind"] == "SurdParseError"
+        assert got[0] == {"id": "big", "status": "error", "kind": "SurdParseError",
+                          "message": f"{DIGIT_LIMIT_4300} (column 0)"}
         assert got[1] == {"id": "ok", "status": "ok", "result": {"j": "1728"}}
 
     def test_handler_fault_is_reported_as_internal(self, monkeypatch):
@@ -191,7 +197,8 @@ class TestBatch:
         huge, long, ok = run_batch(req)
         assert huge["status"] == "error" and huge["kind"] == "usage"
         assert long["status"] == "error" and long["kind"] == "CFError"
-        assert long["message"].startswith("convergent 3063 is too long to print")
+        assert long["message"] == (
+            "convergent 3063 is too long to print: integer longer than the limit of 640 digits")
         assert ok["result"] == {"convergents": ["1/1", "2/1", "3/2"]}
 
 
@@ -267,8 +274,9 @@ class TestStrictRationals:
             "A": "8", "B": "-8"}
 
     def test_digit_limit_is_usage_error(self):
-        with pytest.raises(UsageError, match="argument 'A'"):
+        with pytest.raises(UsageError) as info:
             run_command("curve.j", {"A": "1/" + "7" * 5000, "B": "1"})
+        assert str(info.value) == f"argument 'A': {DIGIT_LIMIT_4300}"
 
 
 # 10^4298, the largest power of ten the interpreter prints
@@ -461,8 +469,8 @@ class TestUnprintableResults:
         assert code == 0 and err == ""
         phi, a0, j = json.loads(out)
         for got, kind in ((phi, "DimGroupError"), (a0, "CFError")):
-            assert got["status"] == "error" and got["kind"] == kind
-            assert got["message"].startswith("result too long to print: ")
+            assert got == {"id": got["id"], "status": "error", "kind": kind,
+                           "message": f"result too long to print: {DIGIT_LIMIT_4300}"}
         assert j == {"id": "j", "status": "ok", "result": {"j": "1728"}}
 
     @pytest.mark.parametrize("index, kind", [(0, "DimGroupError"), (1, "CFError")])
@@ -471,7 +479,7 @@ class TestUnprintableResults:
         code, out, _ = run_main([entry["verb"], json.dumps(entry["args"])], capsys)
         assert code == 2
         error = json.loads(out)["error"]
-        assert error["kind"] == kind and error["message"].startswith("result too long to print: ")
+        assert error == {"kind": kind, "message": f"result too long to print: {DIGIT_LIMIT_4300}"}
 
 
 class TestMainExitCodes:
@@ -498,7 +506,7 @@ class TestMainExitCodes:
         args = '{"terms": [1], "count": %s}' % ("7" * 5000)
         code, out, err = run_main(["cf.convergents", args], capsys)
         assert code == 1 and out == ""
-        assert "malformed JSON input" in err
+        assert err == f"twistlab: malformed JSON input: {DIGIT_LIMIT_4300}\n"
 
     def test_count_past_maxsize_is_usage_error(self, capsys):
         args = '{"period": [1], "count": "100000000000000000000"}'
@@ -513,14 +521,14 @@ class TestMainExitCodes:
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "CFError"
-        assert error["message"].startswith("convergent 20576 is too long to print")
+        assert error["message"] == f"convergent 20576 is too long to print: {DIGIT_LIMIT_4300}"
 
     def test_huge_surd_literal_is_domain_error(self, capsys):
         theta = "(1+sqrt(" + "7" * 5000 + "))/2"
         code, out, _ = run_main(["cf.expand", json.dumps({"theta": theta})], capsys)
         assert code == 2
         error = json.loads(out)["error"]
-        assert error["kind"] == "SurdParseError" and error["message"].endswith("(column 8)")
+        assert error == {"kind": "SurdParseError", "message": f"{DIGIT_LIMIT_4300} (column 8)"}
 
     def test_batch_with_entry_error_exits_zero(self, tmp_path, capsys):
         req = [

@@ -1,10 +1,12 @@
 
+import random
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from twistlab.errors import digit_limit_text
 from twistlab.surd import (
     IncompatibleFieldsError,
     LinearPolynomial,
@@ -12,11 +14,18 @@ from twistlab.surd import (
     QuadraticSurd,
     SurdError,
     SurdParseError,
+    _LITERAL,
+    _scan_surd,
     format_surd,
     parse_surd,
 )
 
 S = QuadraticSurd.normalize
+
+
+def refuse(n, *args, **kwargs):
+    """A stand-in for sympy.factorint in tests that must never reach it."""
+    raise AssertionError(f"factorint called on {n}")
 
 
 def surds(max_coeff=50, radicands=(1, 2, 3, 5, 6, 7, 10)):
@@ -82,14 +91,25 @@ class TestNormalize:
             S(1, 1, 1, -3)
 
     def test_square_cofactor_past_trial_division(self, monkeypatch):
-        # 200280098 = 2 * 10007^2: trial division leaves 10007^2, above the
-        # trial-division square, and the perfect-square check takes it
-        def refuse(n, *args, **kwargs):
-            raise AssertionError(f"factorint called on {n}")
-
+        # 200280098 = 2 * 10007^2: trial division leaves 10007^2, whose
+        # prime factors exceed its cube root, and the perfect-square check
+        # takes it
         monkeypatch.setattr("sympy.factorint", refuse)
         assert parse_surd("sqrt(200280098)") == parse_surd("10007*sqrt(2)")
         assert format_surd(QuadraticSurd.sqrt_of(200280098)) == "10007*sqrt(2)"
+
+    @pytest.mark.parametrize("d, want", [
+        (1000000007, (0, 1, 1, 1000000007)),  # a prime
+        (100160063, (0, 1, 1, 100160063)),  # 10007 * 10009
+        (9 * 100160063, (0, 3, 1, 100160063)),
+        (999966000289, (999983, 0, 1, 1)),  # 999983^2, just below 10^12
+    ])
+    def test_cube_root_ends_trial_division(self, monkeypatch, d, want):
+        # trial division stops at the first prime whose cube exceeds the
+        # cofactor; at most two prime factors are left, so a perfect-square
+        # check settles it without sympy
+        monkeypatch.setattr("sympy.factorint", refuse)
+        assert QuadraticSurd.sqrt_of(d) == QuadraticSurd(*want)
 
     @given(surds())
     def test_idempotent(self, x):
@@ -122,9 +142,9 @@ class TestArithmetic:
             QuadraticSurd.sqrt_of(2) / S(0, 0, 1, 1)
 
     def test_arithmetic_never_refactors_its_field(self, monkeypatch):
-        # 10^9 + 7 is prime and above the trial-division square, so
+        # 10^12 + 39 is prime and above the trial-division cube, so
         # building sqrt of it certifies it once with sympy.factorint
-        x = QuadraticSurd.sqrt_of(1000000007)
+        x = QuadraticSurd.sqrt_of(1000000000039)
         calls = []
 
         def counting(n, *args, **kwargs):
@@ -292,6 +312,117 @@ class TestLiterals:
     @given(surds())
     def test_round_trip(self, x):
         assert parse_surd(format_surd(x)) == x
+
+
+# Texts for comparing parse_surd with the scanner alone: literals from the
+# grammar, the same with a few random edits, and random token soup.
+_WHITESPACE = (" ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2028", "\u3000")
+_TOKENS = ("(", ")", "+", "-", "*", "/", "sqrt", "sqr", "s", "1", "0", "42", "7" * 13,
+           "\u0663", "\u00b2", "x", ".", "_", "e", "") + _WHITESPACE
+
+
+def _ws(rng) -> str:
+    roll = rng.random()
+    if roll < 0.6:
+        return ""
+    return "".join(rng.choices(_WHITESPACE, k=rng.randint(100, 200) if roll > 0.995 else 2))
+
+
+def _digits(rng) -> str:
+    if rng.random() < 0.003:  # past the default digit limit of int()
+        return "7" * rng.randint(4301, 4310)
+    # at most 12 digits: no radicand reaches sympy.factorint
+    return "".join(rng.choices("0123456789", k=rng.randint(1, rng.choice((2, 12)))))
+
+
+def _sign(rng) -> str:
+    return rng.choice(("", "", "+", "-"))
+
+
+def _sqrt_term(rng) -> str:
+    coeff = _digits(rng) + _ws(rng) + "*" + _ws(rng) if rng.random() < 0.4 else ""
+    return (coeff + "sqrt" + _ws(rng) + "(" + _ws(rng) + _sign(rng) + _digits(rng)
+            + _ws(rng) + ")")
+
+
+def _grammar_literal(rng) -> str:
+    form = rng.randrange(3)
+    if form == 0:
+        num = _digits(rng)
+    elif form == 1:
+        num = _sqrt_term(rng)
+    else:
+        num = _digits(rng) + _ws(rng) + rng.choice("+-") + _ws(rng) + _sqrt_term(rng)
+    num = _ws(rng) + _sign(rng) + _ws(rng) + num
+    text = _ws(rng) + ("(" + num + _ws(rng) + ")" if rng.random() < 0.4 else num)
+    if rng.random() < 0.5:
+        text += _ws(rng) + "/" + _ws(rng) + _sign(rng) + _digits(rng)
+    return text + _ws(rng)
+
+
+def _mutated(rng, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = min(len(text), i + rng.randint(1, 3))
+        edit = rng.randrange(4)
+        if edit == 0:  # delete
+            text = text[:i] + text[j:]
+        elif edit == 1:  # insert
+            text = text[:i] + rng.choice(_TOKENS) + text[i:]
+        elif edit == 2:  # replace
+            text = text[:i] + rng.choice(_TOKENS) + text[j:]
+        else:  # duplicate
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _literal_text(rng) -> str:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _grammar_literal(rng)
+    if kind == 1:
+        return _mutated(rng, _grammar_literal(rng))
+    return "".join(rng.choices(_TOKENS, k=rng.randint(0, 12)))
+
+
+def _outcome(parse, text: str):
+    """parse(text), or the class, message and column of its SurdError."""
+    try:
+        return parse(text)
+    except SurdError as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+
+
+# 1000 seeds of 100 texts each: 10^5 texts
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**64))
+def test_pattern_agrees_with_scanner(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        text = _literal_text(rng)
+        scanned = _outcome(_scan_surd, text)
+        assert _outcome(parse_surd, text) == scanned, text
+        # the pattern reads every literal the scanner reads, so the scanner
+        # runs only to place a syntax error or a digit run past the limit
+        placed = isinstance(scanned, tuple) and scanned[0] is SurdParseError
+        assert (_LITERAL.fullmatch(text) is None) == (
+            placed and not scanned[1].startswith(digit_limit_text())), text
+
+
+@pytest.mark.parametrize("text", [
+    " " * 100000 + "x",
+    "(" + " " * 100000 + "x",
+    "-" + " " * 100000 + "x",
+    "3" + " " * 50000 + "*" + " " * 50000 + "x",
+    "1+" + " " * 100000 + "x",
+    "sqrt(" + " " * 100000 + "2" + " " * 100000 + "x",
+    "(sqrt(5)" + " " * 100000 + "/",
+    "1" * 100000 + "x",
+])
+def test_long_rejected_literal_is_bounded(text, alarm):
+    # the pattern's whitespace runs never meet, so a failed match takes
+    # linear time; three adjacent ones took seconds at 500 characters
+    assert _outcome(parse_surd, text) == _outcome(_scan_surd, text)
 
 
 def test_decimal_rendering_is_labeled_inexact():

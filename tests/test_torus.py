@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import torus
 from twistlab.cli import run_batch
@@ -16,7 +17,7 @@ from twistlab.torus import (
     sl2_witness,
 )
 
-from oracles import GENERATORS, brute_force_equivalent
+from oracles import GEN_J, GEN_S, GENERATORS, brute_force_equivalent, mobius_by_operators
 
 S = QuadraticSurd.normalize
 SQRT2 = TorusParameter(QuadraticSurd.sqrt_of(2))
@@ -29,6 +30,19 @@ def random_word(rng, max_len=12) -> UnimodularWitness:
     for _ in range(rng.randint(0, max_len)):
         m = m @ rng.choice(GENERATORS)
     return m
+
+
+def big_word(rng, bound=10**40) -> UnimodularWitness:
+    """A random word in T^k (0 < |k| <= 10^6), S and J, grown while its
+    entries stay within bound."""
+    m = UnimodularWitness.identity()
+    while True:
+        k = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        letter = rng.choice((UnimodularWitness(1, k, 0, 1), GEN_S, GEN_J))
+        grown = m @ letter
+        if max(map(abs, (grown.a, grown.b, grown.c, grown.d))) > bound:
+            return m
+        m = grown
 
 
 class TestWitnessMatrix:
@@ -56,6 +70,19 @@ class TestApplyMobius:
         # (sqrt2 + 1)/sqrt2 = (2 + sqrt2)/2
         got = apply_mobius(UnimodularWitness(1, 1, 1, 0), SQRT2)
         assert got.theta == S(2, 1, 2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.sampled_from((1, -1)),
+           st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+           st.integers(1, 10**6), st.sampled_from((2, 3, 5, 6, 1003, 1000000007)))
+    def test_one_integer_step_matches_surd_operators(self, seed, det, p, q, r, d):
+        rng = random.Random(seed)
+        theta = S(p, q, r, d)
+        m = big_word(rng)
+        if m.det != det:
+            m = GEN_J @ m  # swaps the rows: same entries, the other determinant
+        assert m.det == det and max(map(abs, (m.a, m.b, m.c, m.d))) > 10**33
+        assert apply_mobius(m, TorusParameter(theta)).theta == mobius_by_operators(m, theta)
 
 
 class TestIsomorphic:
