@@ -225,10 +225,11 @@ def _cmd_curve_twist(args: dict) -> dict:
 def _cmd_curve_iso(args: dict) -> dict:
     e1 = _curve(args, "A1", "B1")
     e2 = _curve(args, "A2", "B2")
-    q_iso, u = elliptic.q_isomorphic(e1, e2)
+    c_iso = elliptic.c_isomorphic(e1, e2)  # decided once: q_isomorphic would decide it again
+    u = elliptic._scaling(e1, e2) if c_iso else None
     return {
-        "c_isomorphic": elliptic.c_isomorphic(e1, e2),
-        "q_isomorphic": q_iso,
+        "c_isomorphic": c_iso,
+        "q_isomorphic": u is not None,
         "u": _text(u, CurveError) if u is not None else None,
     }
 

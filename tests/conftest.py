@@ -1,6 +1,13 @@
 import signal
 
 import pytest
+from hypothesis import settings
+
+# Selected in CI with --hypothesis-profile=ci: examples derived from each
+# test's name, and a failing one printed as a blob, so a failure in a CI log
+# replays locally.  Local runs keep random seeds; neither changes how many
+# examples a test draws.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

@@ -3,10 +3,13 @@
 These deliberately avoid the library's fast paths: term streams come
 from naive floor-and-invert in exact surd arithmetic, Mobius images from
 surd operators, equivalence search is a breadth-first walk over
-unimodular words, and positivity is capped iteration.
+unimodular words, positivity is capped iteration, and curve identities
+are Fraction arithmetic on A and B with integer roots by bisection.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
 from twistlab.surd import QuadraticSurd
@@ -101,3 +104,55 @@ def iteration_verdict(
             return Positivity.STRICTLY_NEGATIVE
         v = tuple(sum(a * b for a, b in zip(row, v)) for row in g.phi)
     return Positivity.UNDECIDED
+
+
+# -- curves y^2 = x^3 + Ax + B, in Fraction arithmetic ------------------
+
+
+def curve_j(A: Fraction, B: Fraction) -> Fraction:
+    """1728 * 4A^3 / (4A^3 + 27B^2); ZeroDivisionError for a singular curve."""
+    return 1728 * 4 * A**3 / (4 * A**3 + 27 * B**2)
+
+
+def curve_twist(A: Fraction, B: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(t^2 A, t^3 B) at generic j, (t A, 0) at j = 1728 and (0, t B) at j = 0."""
+    if B == 0:
+        return t * A, Fraction(0)
+    if A == 0:
+        return Fraction(0), t * B
+    return t * t * A, t**3 * B
+
+
+def curve_twist_parameter(A1, B1, A2, B2) -> Fraction:
+    """The t of the twist taking the first curve to the second, for equal j."""
+    if B1 == 0:
+        return A2 / A1
+    if A1 == 0:
+        return B2 / B1
+    return A1 * B2 / (A2 * B1)
+
+
+def _root_by_bisection(m: int, n: int) -> int | None:
+    lo, hi = 0, 1 << (m.bit_length() // n + 1)  # hi**n > m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**n <= m:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**n == m else None
+
+
+def curve_scaling(A1, B1, A2, B2) -> Fraction | None:
+    """The u > 0 with A2 = u^4 A1 and B2 = u^6 B1, or None.  The only
+    candidate is the fourth root of A2/A1, or the sixth root of B2/B1 when
+    A1 = 0; both equations are then checked."""
+    ratio, n = (A2 / A1, 4) if A1 != 0 else (B2 / B1, 6)
+    if ratio <= 0:
+        return None
+    num = _root_by_bisection(ratio.numerator, n)
+    den = _root_by_bisection(ratio.denominator, n)
+    if num is None or den is None:
+        return None
+    u = Fraction(num, den)
+    return u if u**4 * A1 == A2 and u**6 * B1 == B2 else None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -480,6 +481,49 @@ class TestUnprintableResults:
         assert code == 2
         error = json.loads(out)["error"]
         assert error == {"kind": kind, "message": f"result too long to print: {DIGIT_LIMIT_4300}"}
+
+
+def test_curve_verbs_at_4000_digits(tmp_path, capsys, alarm):
+    # each curve identity cross-multiplies numerators and denominators of
+    # 4000 digits, larger than the reduced values it compares or returns;
+    # the output is pinned by its digest, its errors also by their text
+    P, Q, S = 10**3999 + 1233, 3**8383, 7**1578  # 4000, 4000 and 1334 digits
+
+    def entry(i, verb, **args):
+        return {"id": i, "verb": verb, "args": {k: str(v) for k, v in args.items()}}
+
+    req = [
+        entry("j", "curve.j", A=P, B=P),
+        entry("j-long", "curve.j", A=P, B=Q),
+        entry("twist", "curve.twist", A=P, B=f"{Q}/{P}", t="-3/2"),
+        entry("twist-long", "curve.twist", A=P, B=Q, t=P),
+        entry("iso-q", "curve.iso", A1=f"{P}/{Q}", B1=f"{Q}/{P}",
+              A2=f"{81 * P}/{16 * Q}", B2=f"{729 * Q}/{64 * P}"),
+        entry("iso-c", "curve.iso", A1=P, B1=Q, A2=4 * P, B2=8 * Q),
+        entry("iso-none", "curve.iso", A1=P, B1=Q, A2=Q, B2=P),
+        entry("between", "curve.twist-between", A1=P, B1=Q, A2=9 * P, B2=-27 * Q),
+        entry("between-long", "curve.twist-between", A1=f"1/{P}", B1=0, A2=P, B2=0),
+        entry("between-none", "curve.twist-between", A1=P, B1=Q, A2=Q, B2=P),
+        entry("singular", "curve.j", A=-3 * S**2, B=2 * S**3),
+        entry("zero-t", "curve.twist", A=P, B=Q, t=f"0/{Q}"),
+    ]
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps(req))
+    code, out, err = run_main(["batch", "--in", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        27933, "c0976e185cb3fa5cec52ff6b8af1245af4d06bbf345f3c4a9d370082d1aa084c")
+    got = {r["id"]: r for r in json.loads(out)}
+    too_long = f"result too long to print: {DIGIT_LIMIT_4300}"
+    for i in ("j-long", "twist-long", "between-long"):
+        assert got[i] == {"id": i, "status": "error", "kind": "CurveError", "message": too_long}
+    assert got["between-none"]["message"] == "twist_between requires equal j-invariants"
+    assert got["singular"]["kind"] == "SingularCurveError"
+    assert got["zero-t"]["message"] == "twist parameter must be nonzero"
+    assert got["iso-q"]["result"] == {"c_isomorphic": True, "q_isomorphic": True, "u": "3/2"}
+    assert got["iso-c"]["result"] == {"c_isomorphic": True, "q_isomorphic": False, "u": None}
+    assert got["iso-none"]["result"] == {"c_isomorphic": False, "q_isomorphic": False, "u": None}
+    assert got["between"]["result"] == {"t": "-3"}
 
 
 class TestMainExitCodes:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from twistlab import elliptic
+from twistlab.cli import run_command
 from twistlab.elliptic import (
     CurveError,
     EllipticCurve,
@@ -221,3 +223,95 @@ class TestIntNthRoot:
         x = 3**20960  # x * x has 20001 digits
         assert _int_nth_root(x * x, 2) == x
         assert _int_nth_root(x * x + 1, 2) is None
+
+
+# numerators and denominators up to 10^40
+BIG = st.integers(-10**40, 10**40).filter(bool)
+RATIONALS = st.builds(F, BIG, st.integers(1, 10**40))
+
+
+@st.composite
+def coefficients(draw, branch=None):
+    """(A, B) of a non-singular curve at generic j, j = 1728 (B = 0) or j = 0 (A = 0)."""
+    branch = draw(st.sampled_from(("generic", "1728", "0"))) if branch is None else branch
+    A = F(0) if branch == "0" else draw(RATIONALS)
+    B = F(0) if branch == "1728" else draw(RATIONALS)
+    if 4 * A**3 + 27 * B**2 == 0:
+        B += 1
+    return A, B
+
+
+@st.composite
+def curve_pairs(draw):
+    """A curve and a second one: a Weierstrass scaling of it, a twist of it,
+    another curve whose A and B vanish alike, or any other curve."""
+    A1, B1 = draw(coefficients())
+    branch = "1728" if B1 == 0 else "0" if A1 == 0 else "generic"
+    kind = draw(st.sampled_from(("scaling", "twist", "same branch", "any")))
+    if kind == "scaling":
+        u = draw(RATIONALS)
+        return (A1, B1), (u**4 * A1, u**6 * B1)
+    if kind == "twist":
+        return (A1, B1), oracles.curve_twist(A1, B1, draw(RATIONALS))
+    return (A1, B1), draw(coefficients(branch if kind == "same branch" else None))
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(coefficients(), RATIONALS)
+    def test_j_and_twist(self, AB, t):
+        e = EllipticCurve(*AB)
+        assert e.A is AB[0] and e.B is AB[1]  # a Fraction is kept, not wrapped again
+        j = j_invariant(e)
+        assert type(j) is F and j == oracles.curve_j(*AB)
+        got = twist(e, TwistParameter(t))
+        assert type(got.A) is F and type(got.B) is F
+        assert (got.A, got.B) == oracles.curve_twist(*AB, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_pairs())
+    def test_isomorphism_levels_and_twist_parameter(self, pair):
+        (A1, B1), (A2, B2) = pair
+        e1, e2 = EllipticCurve(A1, B1), EllipticCurve(A2, B2)
+        c_iso = oracles.curve_j(A1, B1) == oracles.curve_j(A2, B2)
+        u = oracles.curve_scaling(A1, B1, A2, B2)
+        assert c_isomorphic(e1, e2) == c_iso
+        assert q_isomorphic(e1, e2) == (u is not None, u)
+        assert run_command("curve.iso", {"A1": str(A1), "B1": str(B1), "A2": str(A2),
+                                         "B2": str(B2)}) == {
+            "c_isomorphic": c_iso, "q_isomorphic": u is not None,
+            "u": None if u is None else str(u)}
+        if c_iso:
+            t = twist_between(e1, e2).t
+            assert type(t) is F and t == oracles.curve_twist_parameter(A1, B1, A2, B2)
+        else:
+            with pytest.raises(CurveError, match="requires equal j-invariants"):
+                twist_between(e1, e2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RATIONALS)
+    def test_singular_curves_rejected(self, s):
+        with pytest.raises(ZeroDivisionError):
+            oracles.curve_j(-3 * s**2, 2 * s**3)
+        with pytest.raises(SingularCurveError):
+            EllipticCurve(-3 * s**2, 2 * s**3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10**40))
+    def test_zero_twist_rejected(self, m):
+        for t in (F(0, m), 0):
+            with pytest.raises(CurveError, match="twist parameter must be nonzero"):
+                TwistParameter(t)
+
+
+@pytest.mark.parametrize("A2, B2", [("16", "64"), ("4", "8"), ("1", "0")])
+def test_curve_iso_decides_c_isomorphism_once(monkeypatch, A2, B2):
+    calls = []
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return c_isomorphic(e1, e2)
+
+    monkeypatch.setattr(elliptic, "c_isomorphic", counted)
+    run_command("curve.iso", {"A1": "1", "B1": "1", "A2": A2, "B2": B2})
+    assert len(calls) == 1
