@@ -87,6 +87,8 @@ def _shaped(value, kind: type, what: str):
 
 def _ints(value, what: str) -> tuple[int, ...]:
     items = _shaped(value, list, what)
+    if set(map(type, items)) <= {int}:  # the common case, decoded at C speed
+        return tuple(items)
     return tuple(x if type(x) is int else _int(x, f"{what} entry") for x in items)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import cycle
 from math import gcd
 from operator import or_
 from typing import Optional
@@ -79,10 +80,10 @@ def _integers(values, what: str) -> tuple[int, ...]:
     """values as a tuple; a float, a bool or any other non-int entry is a
     DimGroupError, never coerced."""
     values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise DimGroupError(f"{what} entries must be integers, got {x!r}")
-    return values
+    if set(map(type, values)) <= {int}:
+        return values
+    bad = next(x for x in values if type(x) is not int)
+    raise DimGroupError(f"{what} entries must be integers, got {bad!r}")
 
 
 class K0Element(Value):
@@ -99,20 +100,39 @@ class K0Element(Value):
 
 
 class StationaryDimensionGroup(Value):
+    """The group of phi; a group from from_cf_period keeps its period word
+    in _word and multiplies phi out only when phi is first read."""
+
     _fields = ("phi",)
+    _word: Optional[tuple[int, ...]] = None
 
     def __init__(self, phi: Matrix):
         object.__setattr__(self, "phi", phi)
 
+    @classmethod
+    def _of_word(cls, word: tuple[int, ...]) -> StationaryDimensionGroup:
+        g = cls.__new__(cls)
+        object.__setattr__(g, "_word", word)
+        return g
+
+    # cached_property writes the instance __dict__ past the refused
+    # assignment, and __init__'s phi there shadows this one
+    @cached_property
+    def phi(self) -> Matrix:
+        m11, m12, m21, m22 = contfrac._mobius_matrix(self._word)
+        return ((m11, m12), (m21, m22))
+
     @property
     def rank(self) -> int:
-        return len(self.phi)
+        return 2 if self._word is not None else len(self.phi)
 
-    # computed once per group (cached_property writes the instance
-    # __dict__ past the refused assignment): dimgroup.from-period reads it
-    # for det and again through shift_is_automorphism
+    # computed once per group: dimgroup.from-period reads it for det and
+    # again through shift_is_automorphism.  A period's phi is a product of
+    # len(word) factors of determinant -1.
     @cached_property
     def determinant(self) -> int:
+        if self._word is not None:
+            return -1 if len(self._word) % 2 else 1
         return _det(self.phi)
 
     @property
@@ -136,14 +156,14 @@ def from_matrix(phi) -> StationaryDimensionGroup:
 
 def from_cf_period(period) -> StationaryDimensionGroup:
     """phi = product of [[b_i, 1], [1, 0]] over a primitive period word;
-    det = +-1 and phi^2 > 0, so it needs none of from_matrix's checks."""
+    det = +-1 and phi^2 > 0, so it needs none of from_matrix's checks.
+    phi is multiplied out when first read; is_positive never reads it."""
     word = _integers(period, "period")
     if not word or min(word) < 1:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):
         raise DimGroupError(f"not primitive: {word}")
-    m11, m12, m21, m22 = contfrac._mobius_matrix(word)
-    return StationaryDimensionGroup(((m11, m12), (m21, m22)))
+    return StationaryDimensionGroup._of_word(word)
 
 
 def _check_vector(g: StationaryDimensionGroup, e: K0Element):
@@ -281,25 +301,57 @@ def _perron_sign(phi: Matrix, v: tuple[int, ...]) -> int:
     return _variations(tarski, lo) - _variations(tarski, None)
 
 
+def _period_sign(word: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Sign of <w, v> for phi = M(word), never building phi.
+
+    Each factor [[b, 1], [1, 0]] is symmetric, so phi^T = M(reversed
+    word), whose Perron vector is (t, 1) for t the purely periodic value
+    [(b_L, ..., b_1)], irrational and > 1.  For v0 != 0 the pairing
+    t v0 + v1 is v0 (t - r) with r = -v1/v0, and the sign of t - r is
+    read off the two continued fractions: at the first depth k where
+    t's term a and r's Euclid term c differ it is that of (a - c)(-1)^k;
+    where r's expansion ends first, its last complete quotient is
+    exactly c and t's is larger, so it is (-1)^k.  This takes as many
+    steps as r's expansion, O(log |v|), whatever len(word).
+    """
+    v0, v1 = v
+    if not v0:
+        return (v1 > 0) - (v1 < 0)
+    num, den = (-v1, v0) if v0 > 0 else (v1, -v0)
+    s = 1 if v0 > 0 else -1  # sign(v0) (-1)^k at depth k
+    for a in cycle(reversed(word)):  # endless; r's expansion ends the loop
+        c, rem = divmod(num, den)
+        if a != c:
+            return s if a > c else -s
+        if not rem:
+            return s
+        num, den, s = den, rem, -s
+
+
 def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
     """Sign of the element in the limit order: the sign of <w, v>.
 
-    Pushing keeps the pairing's sign, and a pushed vector that is
-    entrywise signed has it; most vectors are after a few pushes.  One
-    that is not after n = rank pushes gets the exact decision of
-    _perron_sign.  A zero pairing on a nonzero vector is undecided.
+    A group of a period word reads it off the word (_period_sign), and
+    its pairing is never zero on a nonzero vector.  Otherwise pushing
+    keeps the pairing's sign, and a pushed vector that is entrywise
+    signed has it; most vectors are after a few pushes.  One that is not
+    after n = rank pushes gets the exact decision of _perron_sign.  A
+    zero pairing on a nonzero vector is undecided.
     """
     _check_vector(g, e)
     v = e.vector
     if not any(v):
         return Positivity.ZERO
-    for _ in range(g.rank):
-        s = _signed(v)
-        if s:
-            break
-        v = _mat_vec(g.phi, v)
+    if g._word is not None:
+        s = _period_sign(g._word, v)
     else:
-        s = _signed(v) or _perron_sign(g.phi, e.vector)
+        for _ in range(g.rank):
+            s = _signed(v)
+            if s:
+                break
+            v = _mat_vec(g.phi, v)
+        else:
+            s = _signed(v) or _perron_sign(g.phi, e.vector)
     if s > 0:
         return Positivity.STRICTLY_POSITIVE
     if s < 0:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from twistlab import dimgroup
+from twistlab import contfrac, dimgroup
+from twistlab.cli import run_command
 from twistlab.contfrac import EventuallyPeriodicCF, is_primitive, value_of
 from twistlab.dimgroup import (
     STAGE_BUDGET,
@@ -14,6 +16,7 @@ from twistlab.dimgroup import (
     SingularMatrixError,
     StationaryDimensionGroup,
     _is_primitive_matrix,
+    _perron_sign,
     element_equal,
     from_cf_period,
     from_matrix,
@@ -149,6 +152,30 @@ class TestFromCFPeriod:
             assert abs(g.determinant) == 1
             assert g.shift_is_automorphism
 
+    def test_determinant_is_the_sign_of_the_length(self, monkeypatch):
+        # (-1)^L, read off the word: no elimination on phi
+        words = [(1,), (7,), (1, 2), (2, 1, 1), (4, 3, 2, 1), (1, 1, 1, 1, 1, 2) * 9 + (3,)]
+        monkeypatch.setattr(dimgroup, "_det", None)
+        dets = [from_cf_period(word).determinant for word in words]
+        monkeypatch.undo()
+        assert dets == [(-1) ** len(word) for word in words]
+        assert dets == [dimgroup._det(from_cf_period(word).phi) for word in words]
+
+    def test_period_group_is_the_group_of_its_phi(self):
+        g = from_cf_period((1, 2))
+        assert g.rank == 2
+        assert "phi" not in vars(g)
+        same = StationaryDimensionGroup(((3, 1), (2, 1)))
+        assert g == same and hash(g) == hash(same)
+        assert repr(g) == repr(same) == "StationaryDimensionGroup(phi=((3, 1), (2, 1)))"
+        assert from_cf_period((2, 1)) != g
+
+    def test_non_integer_entry_named(self):
+        with pytest.raises(DimGroupError, match=r"^period entries must be integers, got True$"):
+            from_cf_period([1, True, 2.5])
+        with pytest.raises(DimGroupError, match=r"^vector entries must be integers, got '3'$"):
+            K0Element(0, (1, 2, "3"))
+
     def test_imprimitive_word_rejected(self):
         with pytest.raises(DimGroupError):
             from_cf_period((2, 2))
@@ -277,6 +304,137 @@ class TestIsPositive:
             pushed = K0Element(1, shift(g, e).vector)
             assert element_equal(g, e, pushed)
             assert is_positive(g, e) is is_positive(g, pushed)
+
+
+SIGN = {1: Positivity.STRICTLY_POSITIVE, -1: Positivity.STRICTLY_NEGATIVE}
+
+
+def near_eigenvectors(word: tuple[int, ...], periods: int = 3):
+    """(word, v, sign) for v = (q_k, -p_k + d), d in {-1, 0, 1}, and its
+    negative, with p_k/q_k the convergents of t = [(reversed word)], k
+    across the given number of periods.  <w, v> = t q_k - p_k + d, where
+    |t q_k - p_k| < 1/q_(k+1) <= 1 has the sign (-1)^k; so the sign is
+    that of d, or (-1)^k for d = 0."""
+    rev = word[::-1]
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for k in range(periods * len(word)):
+        a = rev[k % len(word)]
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        for d in (-1, 0, 1):
+            sign = d or (-1) ** k
+            yield word, (q, d - p), sign
+            yield word, (-q, p - d), -sign
+
+
+NEAR = [
+    case
+    for word in [(1,), (2,), (1, 2), (3, 1, 2), (1, 1, 1, 2), (5, 1, 1, 3, 2, 7), (10**6, 1, 9)]
+    for case in near_eigenvectors(word)
+]
+
+
+def with_near_examples(test):
+    for word, v, _ in NEAR[::3]:
+        test = example(word=word, v=v)(test)
+    return test
+
+
+TERMS = st.one_of(st.integers(1, 9), st.integers(1, 9), st.integers(1, 10**6))
+WORDS = st.lists(TERMS, min_size=1, max_size=40).map(tuple).filter(contfrac.is_primitive)
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
+
+
+class TestPeriodSign:
+    """A period group's sign comes from the reversed word's continued
+    fraction, held here to the Sturm-Tarski decision on phi and to
+    capped iteration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=WORDS, v=st.tuples(ENTRIES, ENTRIES).filter(any))
+    @with_near_examples
+    def test_matches_perron_sign_and_iteration(self, word, v):
+        g = from_cf_period(word)
+        e = K0Element(0, v)
+        verdict = is_positive(g, e)
+        assert verdict is SIGN[_perron_sign(g.phi, v)]
+        oracle = iteration_verdict(g, e)
+        if oracle is not Positivity.UNDECIDED:
+            assert verdict is oracle
+
+    def test_near_eigenvectors(self):
+        for word, v, sign in NEAR:
+            assert is_positive(from_cf_period(word), K0Element(0, v)) is SIGN[sign], (word, v)
+
+    def test_axis_vectors(self):
+        g = from_cf_period((2, 1, 3))
+        assert is_positive(g, K0Element(0, (0, 5))) is Positivity.STRICTLY_POSITIVE
+        assert is_positive(g, K0Element(0, (0, -5))) is Positivity.STRICTLY_NEGATIVE
+        assert is_positive(g, K0Element(0, (-1, 0))) is Positivity.STRICTLY_NEGATIVE
+        assert is_positive(g, K0Element(0, (0, 0))) is Positivity.ZERO
+
+    def test_stage_does_not_change_the_sign(self):
+        g = from_cf_period((1, 2))
+        for v in [(1, -1), (2, -3), (-5, 7)]:
+            assert is_positive(g, K0Element(9, v)) is is_positive(g, K0Element(0, v))
+
+    def test_rank_mismatch_and_stage_errors(self):
+        g = from_cf_period((1, 2))
+        with pytest.raises(DimGroupError, match="^vector length 3 does not match rank 2$"):
+            is_positive(g, K0Element(0, (1, 2, 3)))
+        with pytest.raises(DimGroupError, match="^vector length 1 does not match rank 2$"):
+            is_positive(g, K0Element(0, (1,)))
+        with pytest.raises(DimGroupError, match="^stage must be nonnegative$"):
+            run_command("dimgroup.positive", {"period": [1, 2], "vector": [1, -1], "stage": -1})
+        with pytest.raises(DimGroupError, match="^vector length 3 does not match rank 2$"):
+            run_command("dimgroup.positive", {"period": [1, 2], "vector": [1, 2, 3]})
+
+
+class TestPhiBuiltWhenRead:
+    @pytest.fixture
+    def no_product(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("phi multiplied out")
+
+        monkeypatch.setattr(contfrac, "_mobius_matrix", forbidden)
+
+    def test_positive_never_builds_phi(self, no_product, alarm):
+        rng = random.Random(14)
+        long_word = [rng.randint(1, 9) for _ in range(20000)]
+        for word in [[1], [1, 2], [2, 1, 3], long_word]:
+            # t = [(reversed word)] lies between its first term b_L and b_L + 1
+            last = word[-1]
+            for v, want in [((1, -last), "strictly-positive"),
+                            ((1, -last - 1), "strictly-negative"),
+                            ((-1, last), "strictly-negative")]:
+                args = {"period": word, "vector": list(v)}
+                assert run_command("dimgroup.positive", args) == {"verdict": want}
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        mobius_matrix = contfrac._mobius_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return mobius_matrix(*args)
+
+        monkeypatch.setattr(contfrac, "_mobius_matrix", counted)
+        return calls
+
+    def test_from_period_builds_phi_once(self, products):
+        got = run_command("dimgroup.from-period", {"period": [2, 1, 3]})
+        assert got == {"phi": [[11, 3], [4, 1]], "rank": 2, "det": -1,
+                       "shift_automorphism": True, "slope": "(5+sqrt(37))/4"}
+        assert len(products) == 1
+
+    def test_compare_builds_phi_once(self, products):
+        e1 = {"stage": 0, "vector": [1, -1]}
+        e2 = {"stage": 2, "vector": [7, 5]}  # phi^2 (1, -1) for phi = ((3, 1), (2, 1))
+        assert run_command("dimgroup.compare", {"period": [1, 2], "e1": e1, "e2": e2}) == {
+            "equal": True}
+        assert len(products) == 1
+        assert from_cf_period((1, 2)).phi == ((3, 1), (2, 1))
 
 
 def random_primitive(rng, n: int, top: int = 3) -> StationaryDimensionGroup:
