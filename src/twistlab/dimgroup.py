@@ -6,8 +6,8 @@ Elements are (vector, stage) pairs identified by forward pushing.
 The order is the sign of the pairing <w, v> with the left
 Perron-Frobenius eigenvector w (Effros, Dimensions and C*-algebras,
 CBMS 46), decided exactly at every rank: by a few pushes of v when
-they make it entrywise signed, else by a Sturm-Tarski query at the
-Perron root; "undecided" means a zero pairing on a nonzero vector.
+they leave no entries of opposite sign, else by a Sturm-Tarski query at
+the Perron root; "undecided" means a zero pairing on a nonzero vector.
 """
 
 from __future__ import annotations
@@ -36,10 +36,24 @@ class Positivity(Enum):
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# Budgets on the exact algebra of a matrix, in its rank n and the bit
+# length b of its largest row sum, which bounds the growth of every entry
+# a step computes.  Each bounds a cost model fitted by measurement, on
+# random dense matrices (whose costs ran highest) and for the bisection on
+# two row sums far apart, to at most about 1 s at its limit (2-vCPU Xeon
+# VM, Python 3.11), and is checked before the work it bounds.
+# Bareiss makes about n^3 updates of entries of up to n b bits, each a
+# product and a quadratic division: n^3 (n b + 1000)^2 = 8 * 10^12 was
+# 0.3-1.1 s at its limit from n = 3 to n = 120.
+DET_BUDGET = 8 * 10**12
+
 
 def _det(m: Matrix) -> int:
-    """Fraction-free Bareiss elimination."""
+    """Fraction-free Bareiss elimination, within DET_BUDGET."""
     n = len(m)
+    bits = max(map(sum, m)).bit_length()
+    if n**3 * (n * bits + 1000) ** 2 > DET_BUDGET:
+        raise DimGroupError(f"matrix exceeds the determinant budget of {DET_BUDGET}")
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -207,15 +221,6 @@ def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> 
     return v == hi.vector
 
 
-def _signed(v: tuple[int, ...]) -> int:
-    """1 if v is entrywise positive, -1 if entrywise negative, else 0."""
-    if min(v) > 0:
-        return 1
-    if max(v) < 0:
-        return -1
-    return 0
-
-
 def _rem(a: list[int], b: list[int]) -> list[int]:
     """A positive multiple of the remainder of a by b, as a primitive
     integer coefficient list (leading coefficient first, none zero)."""
@@ -255,6 +260,17 @@ def _variations(seq: list[list[int]], x: Optional[Fraction]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+# Faddeev-LeVerrier's n products of n x n matrices, then the Sturm and
+# Sturm-Tarski remainder sequences of degree-n polynomials with
+# coefficients of up to n b bits: n^4 (n b + 300)^2 = 5 * 10^11 was
+# 0.2-1.1 s at its limit from n = 3 to n = 30.
+PERRON_BUDGET = 5 * 10**11
+# Each halving of the Sturm bisection evaluates n + 1 polynomials of
+# degree n at a point of h + b bits, h the halvings so far, so h halvings
+# cost about n^3 h (h + b)^2: 2 * 10^12 was 0.5-0.8 s from n = 3 to n = 6.
+HALVING_BUDGET = 2 * 10**12
+
+
 def _perron_sign(phi: Matrix, v: tuple[int, ...]) -> int:
     """Sign of <w, v>: the sign of g at the Perron root lam of chi, where
     chi(x) = det(xI - phi) and g(x) is the first entry of adj(xI - phi) v.
@@ -262,14 +278,23 @@ def _perron_sign(phi: Matrix, v: tuple[int, ...]) -> int:
     At the simple root lam, adj(lam I - phi) = chi'(lam) r w^T / <w, r>
     with chi'(lam) > 0 and r, w > 0, so g(lam) has the sign of <w, v>.
     Faddeev-LeVerrier gives chi and adj(xI - phi) = sum M_k x^(n-k)
-    together, in integers.  Every eigenvalue lies in (-b, b) for b one
-    more than the largest row sum, and lam exceeds every other real
-    root, so bisection with the Sturm sequence of chi finds a point lo
-    with lam the only root above it, in a number of steps that grows
-    with the bit size of phi, not with its spectral gap.  The
-    Sturm-Tarski query of g on (lo, +infinity) is then sign g(lam).
+    together, in integers.  For phi primitive (from_matrix checks it),
+    lam is simple, exceeds every other real root and lies between the
+    least and the largest row sum, so Sturm bisection of chi starts at
+    lo = least row sum - 1/2 and hi = largest row sum + 1.  chi is monic
+    in integers, so its rational roots are integers; every midpoint has
+    more factors of 2 in its denominator than both ends, so none is a
+    root.  The steps grow with the bit size of phi, not with its
+    spectral gap, and the final lo has lam as the only root above it:
+    the Sturm-Tarski query of g on (lo, +infinity) is sign g(lam).
+    A phi past PERRON_BUDGET, or a bisection past HALVING_BUDGET, raises
+    DimGroupError.
     """
     n = len(phi)
+    sums = [sum(row) for row in phi]
+    bits = max(sums).bit_length()
+    if n**4 * (n * bits + 300) ** 2 > PERRON_BUDGET:
+        raise DimGroupError(f"matrix exceeds the Perron budget of {PERRON_BUDGET}")
     chi, g = [1], []
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for step in range(1, n + 1):
@@ -281,13 +306,14 @@ def _perron_sign(phi: Matrix, v: tuple[int, ...]) -> int:
     slope = [c * (n - i) for i, c in enumerate(chi[:-1])]
     sturm = _remainders(chi, slope)
     top = _variations(sturm, None)
-    hi = Fraction(max(sum(row) for row in phi) + 1)
-    lo = -hi
+    lo, hi = Fraction(2 * min(sums) - 1, 2), Fraction(max(sums) + 1)
     above = _variations(sturm, lo) - top
+    halvings = 0
     while above > 1:
+        halvings += 1
+        if n**3 * halvings * (halvings + bits) ** 2 > HALVING_BUDGET:
+            raise DimGroupError(f"Sturm bisection exceeds the halving budget of {HALVING_BUDGET}")
         mid = (lo + hi) / 2
-        while _scaled_value(chi, mid) == 0:
-            mid = (lo + mid) / 2
         k = _variations(sturm, mid) - top
         if k:
             lo, above = mid, k
@@ -332,11 +358,13 @@ def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
     """Sign of the element in the limit order: the sign of <w, v>.
 
     A group of a period word reads it off the word (_period_sign), and
-    its pairing is never zero on a nonzero vector.  Otherwise pushing
-    keeps the pairing's sign, and a pushed vector that is entrywise
-    signed has it; most vectors are after a few pushes.  One that is not
-    after n = rank pushes gets the exact decision of _perron_sign.  A
-    zero pairing on a nonzero vector is undecided.
+    its pairing is never zero on a nonzero vector.  Otherwise phi is
+    primitive (from_matrix checks it), so w > 0; pushing keeps the
+    pairing's sign and, as det phi != 0, never reaches the zero vector.
+    So a pushed vector with no entries of opposite sign has the sign of
+    any nonzero entry.  One that still has both signs after n = rank
+    pushes gets the exact decision of _perron_sign.  A zero pairing on a
+    nonzero vector is undecided.
     """
     _check_vector(g, e)
     v = e.vector
@@ -346,12 +374,10 @@ def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
         s = _period_sign(g._word, v)
     else:
         for _ in range(g.rank):
-            s = _signed(v)
-            if s:
+            if min(v) >= 0 or max(v) <= 0:
                 break
             v = _mat_vec(g.phi, v)
-        else:
-            s = _signed(v) or _perron_sign(g.phi, e.vector)
+        s = (max(v) > 0) - (min(v) < 0) or _perron_sign(g.phi, e.vector)
     if s > 0:
         return Positivity.STRICTLY_POSITIVE
     if s < 0:

@@ -271,6 +271,8 @@ class QuadraticSurd(Value):
     def compare(self, other) -> int:
         """Exact total order; works across distinct quadratic fields."""
         o = self._coerced(other)
+        if o is NotImplemented:
+            raise TypeError(f"cannot order a QuadraticSurd and a {type(other).__name__}")
         if self.q == 0 or o.q == 0 or self.d == o.d:
             d = self.d if self.q else o.d
             return _sign2(
@@ -307,6 +309,9 @@ class QuadraticSurd(Value):
         return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
 
     def __hash__(self):
+        # equal to a rational value, so hashed as that Fraction
+        if not self.q:
+            return hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.r, self.d))
 
     def floor(self) -> int:

@@ -213,6 +213,26 @@ def low_digit_limit():
     sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("verb, args, kind, message", [
+    ("dimgroup.positive", {"phi": [], "vector": []}, "DimGroupError",
+     "matrix must be square and nonempty"),
+    ("dimgroup.positive", {"phi": [[1, 2]], "vector": [1, 0]}, "DimGroupError",
+     "matrix must be square and nonempty"),
+    ("dimgroup.from-period", {"period": []}, "DimGroupError",
+     "period must be a nonempty positive word"),
+    ("dimgroup.from-period", {"period": [0, 1]}, "DimGroupError",
+     "period must be a nonempty positive word"),
+    ("cf.value", {"terms": []}, "CFError", "empty continued fraction"),
+    ("cf.value", {"period": [0, 1]}, "CFError", "period terms must be >= 1"),
+    ("cf.value", {"preperiod": [1, 0], "period": [2]}, "CFError",
+     "terms after a0 must be >= 1"),
+    ("cf.convergents", {"period": [1], "count": 0}, "CFError", "count must be positive"),
+])
+def test_argument_checks_answer_in_batch(verb, args, kind, message):
+    (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+    assert got == {"id": 0, "status": "error", "message": message, "kind": kind}
+
+
 class TestStrictIntegers:
     def test_float_period_rejected(self):
         with pytest.raises(UsageError):
@@ -288,6 +308,24 @@ TEN_4298 = "1" + "0" * 4298
 WIELANDT_40 = [[int(j == i + 1 or (i == 39 and j < 2)) for j in range(40)] for i in range(40)]
 
 
+def j_plus_i(n: int, big: int = 1) -> list[list[int]]:
+    """big everywhere, big + 1 on the diagonal: equal row sums, and
+    (1, -1, 0, ...) pairs to zero with w = (1, ..., 1)."""
+    return [[big + (i == j) for j in range(n)] for i in range(n)]
+
+
+def ones_off(*diagonal: int) -> list[list[int]]:
+    """diagonal on the diagonal and 1 elsewhere.  For (big, big, 1) the
+    Perron root and big - 1 lie above the least row sum, about log2(big)
+    halvings apart; for (big, big, big) the row sums are equal."""
+    return [[x if i == j else 1 for j in range(len(diagonal))] for i, x in enumerate(diagonal)]
+
+
+def random_matrix(n: int) -> list[list[int]]:
+    rng = random.Random(n)
+    return [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+
+
 # Inputs that are slow by construction (huge literals, long expansions,
 # narrow spectral gaps) or once ended in a traceback; each must give an
 # answer or a typed error within the alarm.
@@ -327,6 +365,22 @@ BOUNDED = [
                  id="invariant-huge-radicand"),
     pytest.param("cf.value", {"preperiod": [3] * 9000, "period": [2]}, "CFError",
                  id="value-too-long-to-print"),
+    pytest.param("dimgroup.positive", {"phi": j_plus_i(100), "vector": [1, -1] + [0] * 98},
+                 "DimGroupError", id="perron-over-budget-rank-100"),
+    pytest.param("dimgroup.positive", {"phi": j_plus_i(100), "vector": [0, 1] + [0] * 98},
+                 {"verdict": "strictly-positive"}, id="push-decides-at-rank-100"),
+    pytest.param("dimgroup.positive",
+                 {"phi": j_plus_i(20, 10**1000), "vector": [1, -1] + [0] * 18},
+                 "DimGroupError", id="det-over-budget-big-entries"),
+    pytest.param("dimgroup.positive", {"phi": random_matrix(300), "vector": [1] * 300},
+                 "DimGroupError", id="det-over-budget-rank-300"),
+    pytest.param("dimgroup.positive", {"phi": ones_off(10**400, 10**400, 1), "vector": [1, -1, 0]},
+                 {"verdict": "infinitesimal-undecided"}, id="spread-row-sums"),
+    pytest.param("dimgroup.positive",
+                 {"phi": ones_off(10**1000, 10**1000, 1), "vector": [1, -1, 0]},
+                 "DimGroupError", id="halvings-over-budget"),
+    pytest.param("dimgroup.positive", {"phi": ones_off(*[10**2000] * 3), "vector": [1, -1, 0]},
+                 {"verdict": "infinitesimal-undecided"}, id="equal-row-sums"),
 ]
 
 

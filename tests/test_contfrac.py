@@ -292,6 +292,10 @@ class TestCanonicalRotation:
         with pytest.raises(NotPrimitiveError):
             canonical_rotation((1, 2, 1, 2))
 
+    def test_rejects_empty(self):
+        with pytest.raises(CFError, match="^empty period$"):
+            canonical_rotation(())
+
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
     def test_rotation_invariant(self, word):
         word = tuple(word)

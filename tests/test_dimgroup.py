@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,9 @@ from twistlab import contfrac, dimgroup
 from twistlab.cli import run_command
 from twistlab.contfrac import EventuallyPeriodicCF, is_primitive, value_of
 from twistlab.dimgroup import (
+    DET_BUDGET,
+    HALVING_BUDGET,
+    PERRON_BUDGET,
     STAGE_BUDGET,
     DimGroupError,
     K0Element,
@@ -257,6 +261,20 @@ class TestIsPositive:
 
     def test_zero(self):
         assert is_positive(FIB, K0Element(0, (0, 0))) is Positivity.ZERO
+
+    def test_weakly_signed_push_decides(self, monkeypatch):
+        # w > 0, so (0, -1), the second push of (3, -5), has its sign, and
+        # a vector with no entries of opposite sign is never pushed
+        def refuse(phi, v):
+            raise AssertionError("_perron_sign ran")
+
+        monkeypatch.setattr(dimgroup, "_perron_sign", refuse)
+        g = from_matrix([[2, 1], [1, 1]])
+        assert is_positive(g, K0Element(0, (3, -5))) is Positivity.STRICTLY_NEGATIVE
+        assert is_positive(g, K0Element(0, (-3, 5))) is Positivity.STRICTLY_POSITIVE
+        monkeypatch.setattr(dimgroup, "_mat_vec", refuse)
+        assert is_positive(g, K0Element(0, (0, 4))) is Positivity.STRICTLY_POSITIVE
+        assert is_positive(g, K0Element(0, (-1, 0))) is Positivity.STRICTLY_NEGATIVE
 
     def test_rational_eigenvalue_undecided_on_kernel_direction(self):
         g = from_matrix([[2, 1], [1, 2]])
@@ -512,21 +530,31 @@ class TestExactPositivityAtEveryRank:
             assert is_positive(g, K0Element(0, v)) is want[(total > 0) - (total < 0)], v
 
     def test_bisection_lowers_its_upper_end(self, monkeypatch):
-        # two pushes leave v unsigned, so _perron_sign decides; with the
-        # Perron root near 10.62 its bisection moves hi down at midpoint 12
-        calls = []
-        perron_sign = dimgroup._perron_sign
+        # three pushes leave v with both signs, so _perron_sign decides;
+        # the row sums 7, 12 and 16 start its bisection at 13/2 and 17, and
+        # with the Perron root near 11.70 the first midpoint 47/4 moves hi
+        # down, the second 73/8 moves lo up and leaves one root above it
+        calls, points = [], []
+        perron_sign, variations = dimgroup._perron_sign, dimgroup._variations
 
         def spy(phi, v):
             calls.append(v)
             return perron_sign(phi, v)
 
+        def at(seq, x):
+            points.append(x)
+            return variations(seq, x)
+
         monkeypatch.setattr(dimgroup, "_perron_sign", spy)
-        g = from_matrix([[3, 20], [1, 8]])
-        e = K0Element(0, (1000, -131))
-        assert is_positive(g, e) is Positivity.STRICTLY_POSITIVE
-        assert calls == [(1000, -131)]
-        assert iteration_verdict(g, e, 10**4) is Positivity.STRICTLY_POSITIVE
+        monkeypatch.setattr(dimgroup, "_variations", at)
+        g = from_matrix([[1, 1, 5], [3, 9, 0], [9, 0, 7]])
+        e = K0Element(0, (-7, 4, 0))
+        assert is_positive(g, e) is Positivity.STRICTLY_NEGATIVE
+        assert calls == [(-7, 4, 0)]
+        # Sturm at +infinity, lo and each midpoint; Tarski at lo and +infinity
+        assert points == [None, Fraction(13, 2), Fraction(47, 4), Fraction(73, 8),
+                          Fraction(73, 8), None]
+        assert iteration_verdict(g, e, 10**4) is Positivity.STRICTLY_NEGATIVE
 
     def test_decides_past_the_old_cap(self):
         # companion matrix of x^3 - x - 1, det 1: v = phi^-120 (1, -1, 0)
@@ -539,6 +567,51 @@ class TestExactPositivityAtEveryRank:
         assert iteration_verdict(g, e, 64) is Positivity.UNDECIDED
         assert iteration_verdict(g, e, 10**4) is Positivity.STRICTLY_NEGATIVE
         assert is_positive(g, e) is Positivity.STRICTLY_NEGATIVE
+
+
+def j_plus_i(n: int) -> StationaryDimensionGroup:
+    return from_matrix([[1 + (i == j) for j in range(n)] for i in range(n)])
+
+
+class TestBudgets:
+    """Each budget refuses with one fixed text before the work it bounds;
+    what pushes or the row-sum bracket decide never meets one."""
+
+    def test_determinant_budget(self):
+        rng = random.Random(130)
+        phi = [[rng.randint(0, 3) for _ in range(130)] for _ in range(130)]
+        message = f"^matrix exceeds the determinant budget of {DET_BUDGET}$"
+        with pytest.raises(DimGroupError, match=message):
+            from_matrix(phi)
+
+    def test_perron_budget(self):
+        # n^4 (n b + 300)^2 for J + I and b = 6 bits: inside at rank 36, past it at 37
+        assert is_positive(j_plus_i(36), K0Element(0, (1, -1) + (0,) * 34)) is Positivity.UNDECIDED
+        g = j_plus_i(37)
+        message = f"^matrix exceeds the Perron budget of {PERRON_BUDGET}$"
+        with pytest.raises(DimGroupError, match=message):
+            is_positive(g, K0Element(0, (1, -1) + (0,) * 35))
+        assert is_positive(g, K0Element(0, (1, 0) + (0,) * 35)) is Positivity.STRICTLY_POSITIVE
+
+    def test_halving_budget(self, monkeypatch):
+        # about log2(big) = 199 halvings separate the Perron root from
+        # big - 1; for n = 3 and b = 200 bits, n^3 h (h + b)^2 passes this
+        # budget at the 101st halving
+        big = 10**60
+        g = from_matrix([[big, 1, 1], [1, big, 1], [1, 1, 1]])
+        e = K0Element(0, (1, -1, 0))
+        assert is_positive(g, e) is Positivity.UNDECIDED
+        budget = 3**3 * 100 * (100 + 200) ** 2
+        monkeypatch.setattr(dimgroup, "HALVING_BUDGET", budget)
+        message = f"^Sturm bisection exceeds the halving budget of {budget}$"
+        with pytest.raises(DimGroupError, match=message):
+            is_positive(g, e)
+
+    def test_equal_row_sums_never_bisect(self, alarm):
+        big = 10**2000
+        g = from_matrix([[big, 1, 1], [1, big, 1], [1, 1, big]])
+        assert is_positive(g, K0Element(0, (1, -1, 0))) is Positivity.UNDECIDED
+        assert is_positive(g, K0Element(0, (1, -1, 1))) is Positivity.STRICTLY_POSITIVE
 
 
 class TestShift:
@@ -573,6 +646,10 @@ class TestRank2Slope:
     def test_rational_eigenvalue_rejected(self):
         with pytest.raises(NotCFTypeError):
             rank2_slope(from_matrix([[2, 1], [1, 2]]))
+
+    def test_rank_3_rejected(self):
+        with pytest.raises(DimGroupError, match="^slope is defined for rank 2 only$"):
+            rank2_slope(from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
 
     def test_singular_never_reaches_slope(self):
         with pytest.raises(SingularMatrixError):

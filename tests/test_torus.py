@@ -154,6 +154,10 @@ class TestSL2Witness:
         assert w is not None and w.det == 1
         assert apply_mobius(w, GOLDEN).theta == GOLDEN.theta
 
+    def test_distinct_tail_classes(self):
+        assert sl2_witness(SQRT2, SQRT3) is None
+        assert sl2_witness(GOLDEN, SQRT2) is None
+
 
 class TestMoritaInvariant:
     def test_sqrt2(self):
