@@ -196,13 +196,22 @@ def _check_vector(g: StationaryDimensionGroup, e: K0Element):
 # |phi v| <= rho |v| in the max norm, and a gap may grow them by at most
 # 64 * STAGE_BUDGET bits: a 6x6 phi of 10^100s took 3.4 s across 10^3 stages.
 STAGE_BUDGET = 10**3
+# Each push is n^2 multiply-adds, and the i-th multiplies an entry of phi
+# by one of up to i b bits, so a gap of g stages costs about
+# n^2 g (g b (b + 256) + 10^5) units.  A unit took 0.26-0.84 ps on random
+# dense matrices from n = 3 to 60 and b = 2 to 10^4 (2-vCPU Xeon VM,
+# Python 3.11), so the budget allows at most about 0.85 s; a random 0..3
+# phi of rank 60 took 1.8 s across 10^3 stages.  Within the other two
+# budgets only a phi of rank 7 or more can reach this one.
+PUSH_BUDGET = 10**12
 
 
 def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> bool:
     """Push the lower-stage vector forward; phi is injective (det != 0),
     so this decides equality in the limit.  A gap of more than
     STAGE_BUDGET stages, or one whose pushes may grow the entries by more
-    than 64 * STAGE_BUDGET bits, raises DimGroupError."""
+    than 64 * STAGE_BUDGET bits or cost more than PUSH_BUDGET, raises
+    DimGroupError."""
     _check_vector(g, e1)
     _check_vector(g, e2)
     lo, hi = (e1, e2) if e1.stage <= e2.stage else (e2, e1)
@@ -214,6 +223,12 @@ def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> 
         raise DimGroupError(
             f"stage gap {gap} at {bits} bits a stage exceeds the budget of "
             f"{64 * STAGE_BUDGET} bits of growth"
+        )
+    n = g.rank
+    if n * n * gap * (gap * bits * (bits + 256) + 10**5) > PUSH_BUDGET:
+        raise DimGroupError(
+            f"stage gap {gap} at rank {n} and {bits} bits a stage exceeds the "
+            f"push budget of {PUSH_BUDGET}"
         )
     v = lo.vector
     for _ in range(gap):
@@ -383,13 +398,6 @@ def is_positive(g: StationaryDimensionGroup, e: K0Element) -> Positivity:
     if s < 0:
         return Positivity.STRICTLY_NEGATIVE
     return Positivity.UNDECIDED
-
-
-def shift(g: StationaryDimensionGroup, e: K0Element) -> K0Element:
-    """[v, k] -> [phi v, k]: order-preserving injection, an automorphism
-    of the limit iff |det phi| = 1 (see shift_is_automorphism)."""
-    _check_vector(g, e)
-    return K0Element(e.stage, _mat_vec(g.phi, e.vector))
 
 
 def rank2_slope(g: StationaryDimensionGroup) -> surd.QuadraticSurd:

@@ -327,23 +327,6 @@ class QuadraticSurd(Value):
 
     __floor__ = floor
 
-    # -- minimal polynomial -------------------------------------------
-
-    def minimal_polynomial(self):
-        """Primitive integer polynomial with this surd as a root.
-
-        Returns QuadraticPolynomial for irrational values and
-        LinearPolynomial for rationals.
-        """
-        if self.is_rational:
-            return LinearPolynomial(self.r, -self.p)
-        # x = (p + q sqrt d)/r  =>  r^2 x^2 - 2 p r x + (p^2 - q^2 d) = 0
-        c2 = self.r * self.r
-        c1 = -2 * self.p * self.r
-        c0 = self.p * self.p - self.q * self.q * self.d
-        g = gcd(gcd(c2, c1), c0)
-        return QuadraticPolynomial(c2 // g, c1 // g, c0 // g)
-
     # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -352,207 +335,84 @@ class QuadraticSurd(Value):
     def __repr__(self) -> str:
         return f"QuadraticSurd({self.p}, {self.q}, {self.r}, {self.d})"
 
-    def decimal(self, digits: int = 12) -> str:
-        """Inexact decimal rendering, display only."""
-        scale = 10 ** (digits + 2)
-        approx = Fraction(self.p)
-        if self.q:
-            sq = isqrt(self.q * self.q * self.d * scale * scale)
-            approx += Fraction(sq if self.q > 0 else -sq, scale)
-        return f"~{float(approx / self.r):.{digits}g}"
-
-
-class QuadraticPolynomial(Value):
-    """c2 x^2 + c1 x + c0, primitive, c2 > 0."""
-
-    _fields = ("c2", "c1", "c0")
-
-    def __init__(self, c2: int, c1: int, c0: int):
-        if c2 <= 0:
-            raise SurdError("quadratic leading coefficient must be positive")
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c0", c0)
-
-    @property
-    def discriminant(self) -> int:
-        return self.c1 * self.c1 - 4 * self.c2 * self.c0
-
-    def evaluate(self, x: QuadraticSurd) -> QuadraticSurd:
-        return x * x * self.c2 + x * self.c1 + self.c0
-
-
-class LinearPolynomial(Value):
-    """c1 x + c0 with c1 > 0; the rational (degree-1) case."""
-
-    _fields = ("c1", "c0")
-
-    def __init__(self, c1: int, c0: int):
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c0", c0)
-
-    def evaluate(self, x: QuadraticSurd) -> QuadraticSurd:
-        return x * self.c1 + self.c0
-
 
 # -- text literals ----------------------------------------------------
 #
 # Grammar:  "(p + q*sqrt(d))/r"  with optional signs and omitted unit
 # parts, e.g. "sqrt(2)", "-3", "3/4", "(1+sqrt(5))/2", "(1-2*sqrt(3))/4".
-# _LITERAL reads a well-formed literal in one match; the _Scanner below
-# accepts exactly the same language and runs only to place an error.
-
-
-# Digits are ASCII 0-9 only: str.isdigit also takes other scripts'
-# digits and superscripts.  \s is str.isspace, the scanner's skip_ws.
-# In _LITERAL each token takes the whitespace after it, so no two \s*
-# meet and a failed match backtracks in linear time, not cubic.
-_DIGITS = re.compile(r"[0-9]*")
-_SQRT = r"(?:([0-9]+)\s*\*\s*)?sqrt\s*\(\s*([+-]?[0-9]+)\s*\)\s*"  # [k*]sqrt(d)
+#
+# _LITERAL reads a text one token at a time.  Every step is optional and
+# runs only once the steps before it are complete (nested groups, and the
+# conditional groups (?(name)...)), so a literal matches whole, and on any
+# other text the match stops where the grammar cannot go on: the column of
+# the error.  The last group that matched names the token expected there.
+# Digits are ASCII 0-9 only: str.isdigit also takes other scripts' digits
+# and superscripts.  \s is str.isspace.  Each token takes the whitespace
+# after it, except the sign of a radicand or denominator, which its digits
+# follow directly; so no two \s* meet and a failed step backtracks in
+# linear time.
 _LITERAL = re.compile(
-    rf"\s*(\(\s*)?(?:([+-])\s*)?(?:{_SQRT}|([0-9]+)\s*(?:([+-])\s*{_SQRT})?)"
-    r"(?(1)\)\s*)(?:/\s*([+-]?[0-9]+)\s*)?"
+    r"""
+    \s* (?P<open>\(\s*)? (?:(?P<sign>[+-])\s*)?
+    (?:(?P<n>[0-9]+)\s* (?P<pm>[+-])\s*)?              # n +-
+    (?:(?P<k>[0-9]+)\s*                                 # k*, or alone the integer p
+        (?:(?P<star>\*)\s* | (?(n)(?!)|(?P<rat>)))?)?
+    (?:(?(k)(?(star)|(?!)))                             # no sqrt right after an integer
+        (?P<sqrt>sqrt)\s* (?:(?P<lp>\()\s*
+        (?:(?P<d>[+-]?[0-9]+)\s* (?:(?P<rp>\))\s*)? | [+-])?)?)?   # a bare sign, then stop
+    (?:(?(rp)|(?(rat)|(?!))) (?(open)\)\s*) (?P<tail>))?  # after a whole numerator
+    (?(tail)(?:(?P<slash>/)\s* (?:(?P<r>[+-]?[0-9]+)\s* | [+-])?)?)
+    """,
+    re.VERBOSE,
 )
-
-
-def _is_digit(ch: str) -> bool:
-    """False also for the empty string peek() gives at the end."""
-    return "0" <= ch <= "9"
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise SurdParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        text = self.text
-        start = pos = self.pos
-        if text.startswith(("+", "-"), pos):
-            pos += 1
-        end = _DIGITS.match(text, pos).end()
-        if end == pos:
-            raise SurdParseError("expected integer", pos)
-        self.pos = end
-        try:
-            return int(text[start:end])
-        except ValueError:  # beyond the interpreter's digit limit
-            raise SurdParseError(digit_limit_text(), start) from None
-
-    def try_keyword(self, word: str) -> bool:
-        if self.text.startswith(word, self.pos):
-            self.pos += len(word)
-            return True
-        return False
-
-
-def _parse_sqrt_term(sc: _Scanner, sign: int) -> tuple[int, int]:
-    """Parse [k*]sqrt(d) after an optional sign; returns (q, d)."""
-    sc.skip_ws()
-    coeff = 1
-    if _is_digit(sc.peek()):
-        coeff = sc.integer()
-        sc.skip_ws()
-        sc.expect("*")
-        sc.skip_ws()
-    if not sc.try_keyword("sqrt"):
-        raise SurdParseError("expected 'sqrt'", sc.pos)
-    sc.skip_ws()
-    sc.expect("(")
-    d = sc.integer()
-    sc.skip_ws()
-    sc.expect(")")
-    return sign * coeff, d
-
-
-def _parse_numerator(sc: _Scanner) -> tuple[int, int, int]:
-    """Returns (p, q, d) for a numerator expression."""
-    sc.skip_ws()
-    sign = 1
-    if sc.peek() in ("+", "-"):
-        sign = -1 if sc.peek() == "-" else 1
-        sc.pos += 1
-        sc.skip_ws()
-    if not _is_digit(sc.peek()):
-        if not sc.text.startswith("sqrt", sc.pos):
-            raise SurdParseError("expected integer or sqrt term", sc.pos)
-        return (0, *_parse_sqrt_term(sc, sign))
-    start = sc.pos
-    first = sign * sc.integer()
-    sc.skip_ws()
-    if sc.peek() == "*":  # k*sqrt(d): read it again as one sqrt term
-        sc.pos = start
-        return (0, *_parse_sqrt_term(sc, sign))
-    if sc.peek() in ("+", "-"):
-        term_sign = -1 if sc.peek() == "-" else 1
-        sc.pos += 1
-        return (first, *_parse_sqrt_term(sc, term_sign))
-    return first, 0, 1
-
-
-def _scan_surd(text: str) -> QuadraticSurd:
-    """parse_surd by the scanner alone: the reference for _LITERAL, and
-    the place every SurdParseError and its column come from."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "(":
-        sc.expect("(")
-        p, q, d = _parse_numerator(sc)
-        sc.skip_ws()
-        sc.expect(")")
-    else:
-        p, q, d = _parse_numerator(sc)
-    sc.skip_ws()
-    r = 1
-    if sc.peek() == "/":
-        sc.expect("/")
-        r = sc.integer()
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise SurdParseError("trailing characters", sc.pos)
-    return QuadraticSurd.normalize(p, q, r, d)
-
-
-def _matched(groups) -> tuple[int, int, int, int]:
-    """(p, q, r, d) from the groups of a _LITERAL match; int() raises
-    ValueError for a digit run past the interpreter's digit limit."""
-    _, sign, k, d, n, term_sign, term_k, term_d, r = groups
-    sign = -1 if sign == "-" else 1
-    r = int(r) if r else 1
-    if d:  # [k*]sqrt(d)
-        return 0, sign * int(k or 1), r, int(d)
-    if term_d:  # n +- [k*]sqrt(d)
-        q = int(term_k or 1)
-        return sign * int(n), -q if term_sign == "-" else q, r, int(term_d)
-    return sign * int(n), 0, r, 1
+# What a match that stops short expected, by the last group it matched
+_EXPECTED = {
+    None: "expected integer or sqrt term",
+    "open": "expected integer or sqrt term",
+    "sign": "expected integer or sqrt term",
+    "pm": "expected 'sqrt'",
+    "k": "expected '*'",
+    "star": "expected 'sqrt'",
+    "rat": "expected ')'",
+    "sqrt": "expected '('",
+    "lp": "expected integer",
+    "d": "expected ')'",
+    "rp": "expected ')'",
+    "slash": "expected integer",
+}
 
 
 def parse_surd(text: str) -> QuadraticSurd:
-    """Parse a surd literal into canonical form."""
-    match = _LITERAL.fullmatch(text)
-    if match:
-        try:
-            p, q, r, d = _matched(match.groups())
-        except ValueError:  # the scanner raises the digit-limit error
-            pass
-        else:
-            return QuadraticSurd.normalize(p, q, r, d)
-    return _scan_surd(text)
+    """Parse a surd literal into canonical form.
+
+    Errors come in text order: an integer past the interpreter's digit
+    limit, at its first character (a radicand's or denominator's sign),
+    before a syntax error after it."""
+    m = _LITERAL.match(text)
+    _, sign, n, pm, k, _, _, sqrt, _, d, _, _, _, r = m.groups()
+    try:
+        n = int(n) if n else None
+        k = int(k) if k else 1
+        d = int(d) if d else 1
+        r = int(r) if r else 1
+    except ValueError:
+        for name in ("n", "k", "d", "r"):
+            try:
+                int(m[name] or 0)
+            except ValueError:
+                raise SurdParseError(digit_limit_text(), m.start(name)) from None
+    end = m.end()
+    if m.lastgroup in _EXPECTED:
+        raise SurdParseError(_EXPECTED[m.lastgroup], end)
+    if end != len(text):
+        raise SurdParseError("trailing characters", end)
+    if n is not None:  # n +- [k*]sqrt(d)
+        return QuadraticSurd.normalize(-n if sign == "-" else n, -k if pm == "-" else k, r, d)
+    if sign == "-":
+        k = -k
+    if sqrt:  # [k*]sqrt(d)
+        return QuadraticSurd.normalize(0, k, r, d)
+    return QuadraticSurd.normalize(k, 0, r, 1)  # the integer p = k
 
 
 def format_surd(x: QuadraticSurd) -> str:

@@ -3,15 +3,18 @@
 These deliberately avoid the library's fast paths: term streams come
 from naive floor-and-invert in exact surd arithmetic, Mobius images from
 surd operators, equivalence search is a breadth-first walk over
-unimodular words, positivity is capped iteration, and curve identities
-are Fraction arithmetic on A and B with integer roots by bisection.
+unimodular words, positivity is capped iteration, curve identities are
+Fraction arithmetic on A and B with integer roots by bisection, and surd
+literals are read one character at a time by a recursive-descent scanner.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
+from twistlab.errors import SurdParseError, digit_limit_text
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import TorusParameter, UnimodularWitness
 
@@ -104,6 +107,125 @@ def iteration_verdict(
             return Positivity.STRICTLY_NEGATIVE
         v = tuple(sum(a * b for a, b in zip(row, v)) for row in g.phi)
     return Positivity.UNDECIDED
+
+
+# -- surd literals, read one character at a time ------------------------
+
+# Digits are ASCII 0-9 only: str.isdigit also takes other scripts' digits.
+_DIGITS = re.compile(r"[0-9]*")
+
+
+def _is_digit(ch: str) -> bool:
+    """False also for the empty string peek() gives at the end."""
+    return "0" <= ch <= "9"
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise SurdParseError(f"expected '{ch}'", self.pos)
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        text = self.text
+        start = pos = self.pos
+        if text.startswith(("+", "-"), pos):
+            pos += 1
+        end = _DIGITS.match(text, pos).end()
+        if end == pos:
+            raise SurdParseError("expected integer", pos)
+        self.pos = end
+        try:
+            return int(text[start:end])
+        except ValueError:  # beyond the interpreter's digit limit
+            raise SurdParseError(digit_limit_text(), start) from None
+
+    def try_keyword(self, word: str) -> bool:
+        if self.text.startswith(word, self.pos):
+            self.pos += len(word)
+            return True
+        return False
+
+
+def _parse_sqrt_term(sc: _Scanner, sign: int) -> tuple[int, int]:
+    """Parse [k*]sqrt(d) after an optional sign; returns (q, d)."""
+    sc.skip_ws()
+    coeff = 1
+    if _is_digit(sc.peek()):
+        coeff = sc.integer()
+        sc.skip_ws()
+        sc.expect("*")
+        sc.skip_ws()
+    if not sc.try_keyword("sqrt"):
+        raise SurdParseError("expected 'sqrt'", sc.pos)
+    sc.skip_ws()
+    sc.expect("(")
+    d = sc.integer()
+    sc.skip_ws()
+    sc.expect(")")
+    return sign * coeff, d
+
+
+def _parse_numerator(sc: _Scanner) -> tuple[int, int, int]:
+    """Returns (p, q, d) for a numerator expression."""
+    sc.skip_ws()
+    sign = 1
+    if sc.peek() in ("+", "-"):
+        sign = -1 if sc.peek() == "-" else 1
+        sc.pos += 1
+        sc.skip_ws()
+    if not _is_digit(sc.peek()):
+        if not sc.text.startswith("sqrt", sc.pos):
+            raise SurdParseError("expected integer or sqrt term", sc.pos)
+        return (0, *_parse_sqrt_term(sc, sign))
+    start = sc.pos
+    first = sign * sc.integer()
+    sc.skip_ws()
+    if sc.peek() == "*":  # k*sqrt(d): read it again as one sqrt term
+        sc.pos = start
+        return (0, *_parse_sqrt_term(sc, sign))
+    if sc.peek() in ("+", "-"):
+        term_sign = -1 if sc.peek() == "-" else 1
+        sc.pos += 1
+        return (first, *_parse_sqrt_term(sc, term_sign))
+    return first, 0, 1
+
+
+def scan_surd(text: str) -> QuadraticSurd:
+    """parse_surd by a character scanner: the same language, the same
+    value, and every SurdParseError with the same message and column."""
+    sc = _Scanner(text)
+    sc.skip_ws()
+    if sc.peek() == "(":
+        sc.expect("(")
+        p, q, d = _parse_numerator(sc)
+        sc.skip_ws()
+        sc.expect(")")
+    else:
+        p, q, d = _parse_numerator(sc)
+    sc.skip_ws()
+    r = 1
+    if sc.peek() == "/":
+        sc.expect("/")
+        r = sc.integer()
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise SurdParseError("trailing characters", sc.pos)
+    return QuadraticSurd.normalize(p, q, r, d)
 
 
 # -- curves y^2 = x^3 + Ax + B, in Fraction arithmetic ------------------

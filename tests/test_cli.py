@@ -359,6 +359,10 @@ BOUNDED = [
                   "e1": {"stage": 0, "vector": [1, 2, 3, 4, 5, 6]},
                   "e2": {"stage": 1000, "vector": [1, 2, 3, 4, 5, 6]}},
                  "DimGroupError", id="compare-over-bit-budget"),
+    pytest.param("dimgroup.compare",
+                 {"phi": random_matrix(60), "e1": {"stage": 0, "vector": [1] * 60},
+                  "e2": {"stage": 1000, "vector": [1] * 60}},
+                 "DimGroupError", id="compare-over-push-budget"),
     pytest.param("cf.convergents", {"period": [1], "count": 25000}, "CFError",
                  id="convergents-too-long-to-print"),
     pytest.param("torus.invariant", {"theta": TEN_4298 + "*sqrt(10)"}, "CFError",

@@ -11,6 +11,7 @@ from twistlab.dimgroup import (
     DET_BUDGET,
     HALVING_BUDGET,
     PERRON_BUDGET,
+    PUSH_BUDGET,
     STAGE_BUDGET,
     DimGroupError,
     K0Element,
@@ -27,7 +28,6 @@ from twistlab.dimgroup import (
     is_positive,
     rank2_morita_equivalent,
     rank2_slope,
-    shift,
 )
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import apply_mobius
@@ -36,6 +36,11 @@ from oracles import iteration_verdict
 
 S = QuadraticSurd.normalize
 FIB = from_matrix([[1, 1], [1, 0]])
+
+
+def push(g: StationaryDimensionGroup, v: tuple[int, ...]) -> tuple[int, ...]:
+    """phi v, the same element of the limit one stage up."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in g.phi)
 
 
 def random_primitive_2x2(rng) -> StationaryDimensionGroup:
@@ -214,8 +219,7 @@ class TestElementEqual:
             v = tuple(rng.randint(-5, 5) for _ in range(2))
             k = rng.randint(0, 3)
             e = K0Element(k, v)
-            pushed = shift(FIB, e)
-            lifted = K0Element(k + 1, pushed.vector)
+            lifted = K0Element(k + 1, push(FIB, v))
             assert element_equal(FIB, e, lifted)
             assert element_equal(FIB, lifted, e)
 
@@ -250,6 +254,21 @@ class TestElementEqual:
         g = from_matrix([[10**12, 1, 1], [1, 10**12, 1], [1, 1, 10**12]])
         top = (10**12 - 1) ** STAGE_BUDGET
         assert element_equal(g, K0Element(0, (1, -1, 0)), K0Element(STAGE_BUDGET, (top, -top, 0)))
+
+    def test_push_budget(self, alarm):
+        # each push is rank^2 multiply-adds: within the other budgets, a
+        # random 0..3 phi of rank 20 may cross all 10^3 stages, one of rank 60
+        # may not
+        rng = random.Random(41)
+        g = random_primitive(rng, 20)
+        v = tuple(rng.randint(-5, 5) for _ in range(20))
+        assert element_equal(g, K0Element(0, v), K0Element(STAGE_BUDGET, push(g, v))) is False
+        g = random_primitive(rng, 60)
+        bits = max(map(sum, g.phi)).bit_length()
+        message = (f"^stage gap {STAGE_BUDGET} at rank 60 and {bits} bits a stage exceeds "
+                   f"the push budget of {PUSH_BUDGET}$")
+        with pytest.raises(DimGroupError, match=message):
+            element_equal(g, K0Element(0, (1,) * 60), K0Element(STAGE_BUDGET, (1,) * 60))
 
 
 class TestIsPositive:
@@ -319,7 +338,7 @@ class TestIsPositive:
             g = random_primitive_2x2(rng)
             v = (rng.randint(-5, 5), rng.randint(-5, 5))
             e = K0Element(0, v)
-            pushed = K0Element(1, shift(g, e).vector)
+            pushed = K0Element(1, push(g, v))
             assert element_equal(g, e, pushed)
             assert is_positive(g, e) is is_positive(g, pushed)
 
@@ -615,22 +634,19 @@ class TestBudgets:
 
 
 class TestShift:
-    def test_matrix_application(self):
-        assert shift(FIB, K0Element(0, (1, 0))) == K0Element(0, (1, 1))
-
     def test_preserves_positivity(self):
         rng = random.Random(31)
         for _ in range(100):
             g = random_primitive_2x2(rng)
-            e = K0Element(0, (rng.randint(-5, 5), rng.randint(-5, 5)))
-            assert is_positive(g, shift(g, e)) is is_positive(g, e)
+            v = (rng.randint(-5, 5), rng.randint(-5, 5))
+            assert is_positive(g, K0Element(0, push(g, v))) is is_positive(g, K0Element(0, v))
 
     def test_injective(self):
         rng = random.Random(37)
         seen = {}
         for _ in range(1000):
             v = (rng.randint(-15, 15), rng.randint(-15, 15))
-            image = shift(FIB, K0Element(0, v)).vector
+            image = push(FIB, v)
             if image in seen:
                 assert seen[image] == v
             seen[image] = v

@@ -1,4 +1,4 @@
-"""The contract of the twelve value types: repr text, keyword
+"""The contract of the ten value types: repr text, keyword
 construction, equality and hashing by class and fields, and refused
 assignment."""
 
@@ -9,7 +9,7 @@ import pytest
 from twistlab.contfrac import Convergent, EventuallyPeriodicCF, FiniteCF
 from twistlab.dimgroup import K0Element, StationaryDimensionGroup
 from twistlab.elliptic import EllipticCurve, TwistParameter
-from twistlab.surd import LinearPolynomial, QuadraticPolynomial, QuadraticSurd
+from twistlab.surd import QuadraticSurd
 from twistlab.torus import TorusParameter, UnimodularWitness
 
 SQRT2 = QuadraticSurd(0, 1, 1, 2)
@@ -18,10 +18,6 @@ SQRT2 = QuadraticSurd(0, 1, 1, 2)
 CASES = [
     (QuadraticSurd, {"p": 1, "q": 2, "r": 3, "d": 5}, "QuadraticSurd(1, 2, 3, 5)",
      {"p": 1, "q": 2, "r": 3, "d": 7}),
-    (QuadraticPolynomial, {"c2": 1, "c1": 2, "c0": 3}, "QuadraticPolynomial(c2=1, c1=2, c0=3)",
-     {"c2": 1, "c1": 2, "c0": 4}),
-    (LinearPolynomial, {"c1": 1, "c0": 2}, "LinearPolynomial(c1=1, c0=2)",
-     {"c1": 1, "c0": 3}),
     (FiniteCF, {"terms": [1, 2]}, "FiniteCF(terms=(1, 2))", {"terms": [1, 3]}),
     (EventuallyPeriodicCF, {"preperiod": [1], "period": [2]},
      "EventuallyPeriodicCF(preperiod=(1,), period=(2,))", {"preperiod": [], "period": [2]}),
