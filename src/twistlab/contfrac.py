@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from . import surd
 from ._value import Value
@@ -177,6 +177,42 @@ def expand_rational(x) -> FiniteCF:
     return FiniteCF(tuple(terms))
 
 
+def _reduced_state(x: surd.QuadraticSurd) -> tuple[tuple[int, ...], int, int, int, int]:
+    """(preperiod, P, Q, D, M): the terms of x before its first reduced
+    complete quotient (P + sqrt(D))/Q, with Q | D - P^2 and D = M^2 * x.d.
+
+    x = (p + q*sqrt(d))/r is first written as (P + sqrt(D))/Q with M = |q|,
+    and scaled by |Q| when Q does not divide D - P^2.  The preperiod runs
+    the state recursion of expand_surd until the state is reduced; more
+    than _term_budget(D) terms raise CFError.
+    """
+    if x.is_rational:
+        raise CFError("rational input: use expand_rational")
+    # rewrite (p + q*sqrt(d))/r as (P + sqrt(D))/Q with positive radical
+    M = abs(x.q)
+    if x.q > 0:
+        P, Q, D = x.p, x.r, M * M * x.d
+    else:
+        P, Q, D = -x.p, -x.r, M * M * x.d
+    if (D - P * P) % Q != 0:
+        scale = abs(Q)
+        P, Q, D, M = P * scale, Q * scale, D * scale * scale, M * scale
+    root = isqrt(D)
+    budget = _term_budget(D)
+    terms: list[int] = []
+    for _ in repeat(None, budget):
+        if 0 < P <= root and root - P < Q <= root + P:
+            return tuple(terms), P, Q, D, M
+        # Q < 0: the value lies strictly between P+root and P+root+1, and no
+        # integer multiple of |Q| sits in that open interval, so the floor is
+        # the floor at the right endpoint.
+        a = (P + root) // Q if Q > 0 else (P + root + 1) // Q
+        terms.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    raise CFError(f"expansion longer than the budget of {budget} terms")
+
+
 def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     """Minimal-preperiod, minimal-period expansion of an irrational surd.
 
@@ -188,38 +224,18 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     state is reduced (value > 1, conjugate in (-1, 0)) exactly when
     0 < P <= isqrt(D) and isqrt(D) - P < Q <= isqrt(D) + P, and by
     Galois's theorem exactly the reduced states have purely periodic
-    expansions: the preperiod ends at the first reduced state and the
-    period ends when that state comes back.  An expansion of more than
-    _term_budget(D) terms in all raises CFError.
+    expansions: the preperiod ends at the first reduced state
+    (_reduced_state) and the period ends when that state comes back.  The
+    reduced states of one D form cycles under the recursion, one per tail
+    class; a Morita lookup finds where another parameter's first reduced
+    state lies on this cycle (_steps_to) instead of expanding it.  An
+    expansion of more than _term_budget(D) terms in all raises CFError.
     """
-    if x.is_rational:
-        raise CFError("rational input: use expand_rational")
-    # rewrite (p + q*sqrt(d))/r as (P + sqrt(D))/Q with positive radical
-    if x.q > 0:
-        P, Q, D = x.p, x.r, x.q * x.q * x.d
-    else:
-        P, Q, D = -x.p, -x.r, x.q * x.q * x.d
-    if (D - P * P) % Q != 0:
-        scale = abs(Q)
-        P, Q, D = P * scale, Q * scale, D * scale * scale
+    preperiod, P0, Q0, D, _ = _reduced_state(x)
     root = isqrt(D)
-    budget = _term_budget(D)
+    P, Q = P0, Q0
     terms: list[int] = []
-    for _ in repeat(None, budget):
-        if 0 < P <= root and root - P < Q <= root + P:
-            break
-        # Q < 0: the value lies strictly between P+root and P+root+1, and no
-        # integer multiple of |Q| sits in that open interval, so the floor is
-        # the floor at the right endpoint.
-        a = (P + root) // Q if Q > 0 else (P + root + 1) // Q
-        terms.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    else:
-        raise CFError(f"expansion longer than the budget of {budget} terms")
-    preperiod = tuple(terms)
-    terms = []
-    P0, Q0 = P, Q
+    budget = _term_budget(D)
     for _ in repeat(None, budget - len(preperiod)):
         a = (P + root) // Q
         terms.append(a)
@@ -228,6 +244,22 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
         if P == P0 and Q == Q0:
             return EventuallyPeriodicCF(preperiod, tuple(terms))
     raise CFError(f"expansion longer than the budget of {budget} terms")
+
+
+def _steps_to(P: int, Q: int, D: int, P1: int, Q1: int, cap: int) -> Optional[int]:
+    """Steps of the state recursion from the reduced state (P, Q) over D to
+    the state (P1, Q1), or None when it takes cap steps or more.  A
+    reduced state stays reduced, so each floor is (P + isqrt(D)) // Q; with
+    cap the period length of (P1, Q1), None means the two lie on different
+    cycles.  No terms are recorded: they are the period's last steps."""
+    root = isqrt(D)
+    for c in range(cap):
+        if P == P1 and Q == Q1:
+            return c
+        a = (P + root) // Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return None
 
 
 def _mobius_matrix(terms, start=(1, 0, 0, 1)) -> tuple[int, int, int, int]:

@@ -13,7 +13,14 @@ from functools import cached_property
 from typing import Optional
 
 from ._value import Value
-from .contfrac import EventuallyPeriodicCF, _transfer, expand_surd, least_rotation
+from .contfrac import (
+    EventuallyPeriodicCF,
+    _reduced_state,
+    _steps_to,
+    _transfer,
+    expand_surd,
+    least_rotation,
+)
 from .errors import TorusError
 from .surd import QuadraticSurd
 
@@ -37,6 +44,13 @@ class TorusParameter(Value):
     def rotation(self) -> int:
         """Least-rotation offset of the (primitive) period."""
         return least_rotation(self.expansion.period)
+
+    @cached_property
+    def reduced(self) -> tuple[tuple[int, ...], int, int, int, int]:
+        """(preperiod, P, Q, D, M): theta's first reduced complete quotient
+        (P + sqrt(D))/Q, D = M^2 * theta.d, and the terms before it; the
+        Morita lookup reads this instead of the whole expansion."""
+        return _reduced_state(self.theta)
 
 
 class UnimodularWitness(Value):
@@ -109,17 +123,32 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     both expansions continue with the same purely periodic tail, or None
     when the tail classes differ.
 
-    w1 is theta1's preperiod.  For the least-rotation offsets k1, k2,
-    theta2's period rotated by s = (k2 - k1) mod L is theta1's, so w2 is
-    theta2's preperiod followed by its first s period terms, and the
-    common tail has theta1's period.  Any shorter pair of such prefixes
-    differs in length by the same amount, so it gives the same witness."""
-    cf1, cf2 = t1.expansion, t2.expansion
-    p1, p2 = cf1.period, cf2.period
-    k1, k2 = t1.rotation, t2.rotation
-    if p1[k1:] + p1[:k1] != p2[k2:] + p2[:k2]:
+    Only theta1 is expanded.  By Galois's theorem the reduced complete
+    quotients of theta1 form one cycle of the state recursion, and theta2
+    is equivalent exactly when its first reduced quotient x lies on that
+    cycle (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  So: the
+    fields must agree; x = (P2 + sqrt(D2))/Q2 must be written over D1 as
+    (P + sqrt(D1))/Q with integers P, Q and Q | D1 - P^2, the only way x
+    can be a state of theta1; and fewer than L steps must carry x to
+    theta1's first reduced quotient.  After c steps, x is theta1's
+    quotient c terms before the end of its period p1, so w1 is theta1's
+    preperiod and w2 is theta2's followed by p1[L - c:].  Any shorter
+    pair of such prefixes differs in length by the same amount, so it
+    gives the same witness."""
+    if t1.theta.d != t2.theta.d:
         return None
-    return cf1.preperiod, cf2.preperiod + p2[: (k2 - k1) % len(p1)], p1
+    cf1 = t1.expansion
+    _, P1, Q1, D1, M1 = t1.reduced
+    pre2, P2, Q2, _, M2 = t2.reduced
+    P, p_rem = divmod(P2 * M1, M2)
+    Q, q_rem = divmod(Q2 * M1, M2)
+    if p_rem or q_rem or (D1 - P * P) % Q:
+        return None
+    p1 = cf1.period
+    c = _steps_to(P, Q, D1, P1, Q1, len(p1))
+    if c is None:
+        return None
+    return cf1.preperiod, pre2 + p1[len(p1) - c :], p1
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
@@ -130,7 +159,10 @@ def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> U
 
 def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
     """A verified witness M(w2) * M(w1)^-1 of determinant (-1)^(|w1| + |w2|)
-    for the prefix words, or None when the tail classes differ."""
+    for the prefix words, or None when the tail classes differ.
+
+    Expands theta1 and runs theta2 only to its first reduced quotient,
+    which is then looked up on theta1's cycle (_tail_offsets)."""
     found = _tail_offsets(t1, t2)
     return _verified(UnimodularWitness(*_transfer(*found[:2])), t1, t2) if found else None
 

@@ -3,15 +3,18 @@
 These deliberately avoid the library's fast paths: term streams come
 from naive floor-and-invert in exact surd arithmetic, Mobius images from
 surd operators, equivalence search is a breadth-first walk over
-unimodular words, positivity is capped iteration, curve identities are
-Fraction arithmetic on A and B with integer roots by bisection, and surd
-literals are read one character at a time by a recursive-descent scanner.
+unimodular words, Morita offsets come from both whole periods, each cut
+at its first repeated state, and their least rotations by brute force,
+positivity is capped iteration, curve identities are Fraction arithmetic
+on A and B with integer roots by bisection, and surd literals are read
+one character at a time by a recursive-descent scanner.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
 from twistlab.errors import SurdParseError, digit_limit_text
@@ -80,6 +83,52 @@ def brute_force_equivalent(
         if mobius_by_operators(m, t1.theta) == t2.theta:
             return m
     return None
+
+
+def first_repeat_expansion(x: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of an irrational x, cut where a state of the
+    (P, Q) recursion first comes back.  x = (p + q*sqrt(d))/r is written
+    as (P + sqrt(D))/Q scaled by |Q|, so Q | D - P^2 from the start; over
+    a fixed D a state determines its complete quotient, so the first
+    repeat gives the minimal preperiod and period with no reduced-state
+    test.  The quotient is never an integer, so for Q < 0 its floor is
+    minus one minus the floor of (P + sqrt(D))/|Q|."""
+    s = 1 if x.q > 0 else -1
+    P, Q, D = s * x.p, s * x.r, x.q * x.q * x.d
+    P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+    root = isqrt(D)
+    seen: dict[tuple[int, int], int] = {}
+    terms = []
+    while (P, Q) not in seen:
+        seen[P, Q] = len(terms)
+        a = (P + root) // Q if Q > 0 else -((P + root) // -Q) - 1
+        terms.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    k = seen[P, Q]
+    return tuple(terms[:k]), tuple(terms[k:])
+
+
+def two_period_offsets(t1: TorusParameter, t2: TorusParameter):
+    """(w1, w2, period) by the rule of two periods: expand both, take the
+    first offsets k1, k2 of each period's least rotation, and if the
+    rotations agree, w1 is theta1's preperiod and w2 is theta2's followed
+    by its first (k2 - k1) mod L period terms; None when they differ.
+    Rotations are compared by brute force, min over all L of them."""
+    (pre1, p1), (pre2, p2) = first_repeat_expansion(t1.theta), first_repeat_expansion(t2.theta)
+    k1 = min(range(len(p1)), key=lambda i: p1[i:] + p1[:i])
+    k2 = min(range(len(p2)), key=lambda i: p2[i:] + p2[:i])
+    if p1[k1:] + p1[:k1] != p2[k2:] + p2[:k2]:
+        return None
+    return pre1, pre2 + p2[: (k2 - k1) % len(p1)], p1
+
+
+def word_matrix(word) -> UnimodularWitness:
+    """The product of [[a, 1], [1, 0]] over the word."""
+    m = UnimodularWitness.identity()
+    for a in word:
+        m = m @ UnimodularWitness(a, 1, 1, 0)
+    return m
 
 
 def squarefree_up_to(limit: int) -> list[int]:

@@ -347,6 +347,10 @@ BOUNDED = [
                  id="expand-over-budget"),
     pytest.param("torus.invariant", {"theta": "sqrt(1000000000000000003)"}, "CFError",
                  id="invariant-over-budget"),
+    # another field: theta2 is never expanded, so its budget is never reached
+    pytest.param("torus.morita", {"theta1": "sqrt(2)", "theta2": "sqrt(1000000000000000003)"},
+                 {"equivalent": False, "witness": None, "det": None, "invariant": [2]},
+                 id="morita-other-field-over-budget"),
     pytest.param("cf.expand", {"theta": "sqrt(\u0663)"}, "SurdParseError", id="unicode-digit"),
     pytest.param("dimgroup.positive", {"phi": WIELANDT_40, "vector": [1] * 40},
                  {"verdict": "strictly-positive"}, id="wielandt-40"),

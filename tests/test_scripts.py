@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run on the library they ship with."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,17 +13,7 @@ import twistlab
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize(
-    "script,args,header",
-    [
-        ("tail_classes.py", ["--limit", "60", "--min-size", "2"],
-         "36 tail classes among sqrt(d), d squarefree <= 60"),
-        ("twist_dichotomy.py", ["--t-max", "4"],
-         "base curve y^2 = x^3 + (1)x + (1), j = 6912/31"),
-    ],
-    ids=["tail_classes", "twist_dichotomy"],
-)
-def test_script_runs(script, args, header):
+def run_script(script, args):
     # the child imports the same twistlab as the tests, installed or not
     src = str(Path(twistlab.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -33,4 +24,31 @@ def test_script_runs(script, args, header):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == header
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "script,args,header",
+    [
+        ("tail_classes.py", ["--disc", "60", "--min-size", "2"],
+         "4 tail classes among the 14 reduced (P + sqrt(60))/Q"),
+        ("twist_dichotomy.py", ["--t-max", "4"],
+         "base curve y^2 = x^3 + (1)x + (1), j = 6912/31"),
+    ],
+    ids=["tail_classes", "twist_dichotomy"],
+)
+def test_script_runs(script, args, header):
+    assert run_script(script, args)[0] == header
+
+
+def test_tail_classes_are_cycles():
+    """Each class holds one reduced state per term of its period, and the
+    classes partition the reduced states."""
+    lines = run_script("tail_classes.py", ["--disc", "1000"])
+    members = 0
+    for line in lines[2:]:
+        period, states = line.split(": (P, Q) = ")
+        size = len(ast.literal_eval(states))
+        assert size == len(period.split("(")[1].split(",")), line
+        members += size
+    assert lines[0] == f"{len(lines) - 2} tail classes among the {members} reduced (P + sqrt(1000))/Q"

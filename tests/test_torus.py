@@ -17,7 +17,16 @@ from twistlab.torus import (
     sl2_witness,
 )
 
-from oracles import GEN_J, GEN_S, GENERATORS, brute_force_equivalent, mobius_by_operators
+from oracles import (
+    GEN_J,
+    GEN_S,
+    GENERATORS,
+    brute_force_equivalent,
+    mobius_by_operators,
+    squarefree_up_to,
+    two_period_offsets,
+    word_matrix,
+)
 
 S = QuadraticSurd.normalize
 SQRT2 = TorusParameter(QuadraticSurd.sqrt_of(2))
@@ -180,11 +189,13 @@ class TestMoritaInvariant:
 
 class TestOneExpansionPerParameter:
     """Each parameter of a request is expanded and its period rotated
-    once, however many of its verbs' steps read them."""
+    at most once, however many of its verbs' steps read them; a Morita
+    lookup expands theta1 only and runs theta2 to its first reduced
+    quotient (_reduced_state), or not at all in another field."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"expand_surd": 0, "least_rotation": 0}
+        counts = {"expand_surd": 0, "least_rotation": 0, "_reduced_state": 0}
         for name in counts:
             original = getattr(torus, name)
 
@@ -195,24 +206,39 @@ class TestOneExpansionPerParameter:
             monkeypatch.setattr(torus, name, counted)
         return counts
 
-    @pytest.mark.parametrize("theta2", ["1+sqrt(100003)", "sqrt(7)"])
-    def test_morita_entry(self, calls, theta2):
+    @pytest.mark.parametrize(
+        "theta2,reduced",
+        [
+            # same field: theta1's and theta2's first reduced quotients
+            pytest.param("1+sqrt(100003)", 2, id="1+sqrt(100003)"),
+            # another field: theta2 is never expanded
+            pytest.param("sqrt(7)", 0, id="sqrt(7)"),
+        ],
+    )
+    def test_morita_entry(self, calls, theta2, reduced):
         entry = {"id": 1, "verb": "torus.morita",
                  "args": {"theta1": "sqrt(100003)", "theta2": theta2}}
         assert run_batch([entry])[0]["status"] == "ok"
-        assert calls == {"expand_surd": 2, "least_rotation": 2}
+        assert calls == {"expand_surd": 1, "least_rotation": 1, "_reduced_state": reduced}
+
+    def test_other_field_over_budget_never_expands_theta2(self, calls):
+        t1 = TorusParameter(QuadraticSurd.sqrt_of(2))
+        t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
+        assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
+        assert calls == {"expand_surd": 0, "least_rotation": 0, "_reduced_state": 0}
+        assert "expansion" not in vars(t2) and "reduced" not in vars(t2)
 
     def test_invariant_entry(self, calls):
         entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
         assert run_batch([entry])[0]["result"] == {"invariant": [1]}
-        assert calls == {"expand_surd": 1, "least_rotation": 1}
+        assert calls == {"expand_surd": 1, "least_rotation": 1, "_reduced_state": 0}
 
     def test_verbs_share_the_expansions(self, calls):
         t1, t2 = TorusParameter(S(0, 1, 1, 19)), TorusParameter(S(3, 1, 2, 19))
         assert morita_equivalent(t1, t2) is not None
         sl2_witness(t1, t2)
         morita_invariant(t2)
-        assert calls == {"expand_surd": 2, "least_rotation": 2}
+        assert calls == {"expand_surd": 2, "least_rotation": 1, "_reduced_state": 2}
 
 
 class TestAgainstBruteForce:
@@ -234,6 +260,64 @@ class TestAgainstBruteForce:
     def test_negative_pair(self):
         assert morita_equivalent(SQRT2, GOLDEN) is None
         assert brute_force_equivalent(SQRT2, GOLDEN, length=8) is None
+
+
+def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
+    """Which test of the one-cycle lookup answers a pair with no tail in
+    common, read off the parameters' first reduced quotients."""
+    if t1.theta.d != t2.theta.d:
+        return "other field"
+    _, _, _, D1, M1 = t1.reduced
+    _, P2, Q2, _, M2 = t2.reduced
+    if (P2 * M1) % M2 or (Q2 * M1) % M2:
+        return "not integral over D1"
+    P, Q = P2 * M1 // M2, Q2 * M1 // M2
+    return "Q does not divide D1 - P^2" if (D1 - P * P) % Q else "walk exhausted"
+
+
+class TestAgainstTwoPeriods:
+    """The one-cycle lookup gives the witnesses of the rule of two
+    periods (oracles.two_period_offsets) on 20000 seeded pairs, and every
+    way of answering None is taken."""
+
+    QS = (1, -1, 2, -2, 3, 5, -7, 12)
+    DS = squarefree_up_to(30)
+
+    def draw(self, rng, d) -> TorusParameter:
+        return TorusParameter(S(rng.randint(-40, 40), rng.choice(self.QS), rng.randint(1, 40), d))
+
+    def test_witnesses_agree(self):
+        rng = random.Random(20000)
+        branches = {}
+        for _ in range(20000):
+            d = rng.choice(self.DS)
+            t1 = self.draw(rng, d)
+            u = rng.random()
+            if u < 0.5:
+                t2 = apply_mobius(random_word(rng), t1)
+            elif u < 0.95:
+                t2 = self.draw(rng, d)
+            else:  # most of these lie in another field
+                t2 = self.draw(rng, rng.choice(self.DS))
+            found = two_period_offsets(t1, t2)
+            if found is None:
+                assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
+                key = lookup_branch(t1, t2)
+            else:
+                w1, w2, period = found
+                assert morita_equivalent(t1, t2) == word_matrix(w2) @ word_matrix(w1).inverse()
+                if (len(w1) + len(w2)) % 2 and len(period) % 2 == 0:
+                    assert sl2_witness(t1, t2) is None
+                else:
+                    if (len(w1) + len(w2)) % 2:
+                        w2 += period
+                    assert sl2_witness(t1, t2) == word_matrix(w2) @ word_matrix(w1).inverse()
+                key = "equivalent"
+            branches[key] = branches.get(key, 0) + 1
+        assert set(branches) == {
+            "equivalent", "other field", "not integral over D1",
+            "Q does not divide D1 - P^2", "walk exhausted",
+        }, branches
 
 
 class TestPinnedWitnesses:
