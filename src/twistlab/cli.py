@@ -259,7 +259,7 @@ VERBS = {
 
 
 def run_command(verb: str, args: dict) -> dict:
-    if verb not in VERBS:
+    if not isinstance(verb, str) or verb not in VERBS:  # an array or object cannot be looked up
         raise UsageError(f"unknown verb '{verb}'")
     if not isinstance(args, dict):
         raise UsageError("command arguments must be a JSON object")
@@ -276,7 +276,9 @@ def run_batch(entries: list) -> list:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "verb" not in entry or "id" not in entry:
             raise UsageError(f"batch entry {i} must have 'verb' and 'id'")
-        ids.append(entry["id"])
+        if isinstance(entry["id"], (list, dict)):  # unhashable
+            raise UsageError(f"batch entry {i}: 'id' must not be an array or object")
+        ids.append((type(entry["id"]), entry["id"]))  # 1, 1.0 and true are distinct JSON ids
     if len(set(ids)) != len(ids):
         raise UsageError("batch ids must be unique")
 
@@ -367,6 +369,8 @@ def main(argv=None) -> int:
             raise UsageError(f"malformed JSON input: {exc}")
         except ValueError:  # an integer past the interpreter's digit limit
             raise UsageError(f"malformed JSON input: {digit_limit_text()}") from None
+        except RecursionError:  # arrays or objects nested about 1000 deep
+            raise UsageError("malformed JSON input: nested too deeply") from None
 
         if opts.verb == "batch":
             emit(run_batch(payload), payload)

@@ -224,41 +224,42 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     state is reduced (value > 1, conjugate in (-1, 0)) exactly when
     0 < P <= isqrt(D) and isqrt(D) - P < Q <= isqrt(D) + P, and by
     Galois's theorem exactly the reduced states have purely periodic
-    expansions: the preperiod ends at the first reduced state
-    (_reduced_state) and the period ends when that state comes back.  The
-    reduced states of one D form cycles under the recursion, one per tail
-    class; a Morita lookup finds where another parameter's first reduced
-    state lies on this cycle (_steps_to) instead of expanding it.  An
-    expansion of more than _term_budget(D) terms in all raises CFError.
+    expansions: the preperiod is the walk to the first reduced state
+    (_reduced_state), and the period is the walk from that state back to
+    itself (_periodic).  An expansion of more than _term_budget(D) terms
+    in all raises CFError.
     """
-    preperiod, P0, Q0, D, _ = _reduced_state(x)
-    root = isqrt(D)
-    P, Q = P0, Q0
-    terms: list[int] = []
+    return _periodic(_reduced_state(x))
+
+
+def _periodic(reduced: tuple[tuple[int, ...], int, int, int, int]) -> EventuallyPeriodicCF:
+    """The expansion of the surd whose _reduced_state is reduced: its
+    period is the walk from the first reduced state back to itself."""
+    preperiod, P, Q, D, _ = reduced
     budget = _term_budget(D)
-    for _ in repeat(None, budget - len(preperiod)):
+    period = _walk(P, Q, D, P, Q, budget - len(preperiod))
+    if period is None:
+        raise CFError(f"expansion longer than the budget of {budget} terms")
+    return EventuallyPeriodicCF(preperiod, period)
+
+
+def _walk(P: int, Q: int, D: int, P1: int, Q1: int, cap: int) -> Optional[tuple[int, ...]]:
+    """The terms of the state recursion from the reduced state (P, Q) over
+    D until it first comes to the state (P1, Q1), at least one step; None
+    past cap steps.  A reduced state stays reduced, so each floor is
+    (P + isqrt(D)) // Q.  The reduced states of one D form cycles, one per
+    tail class: from (P1, Q1) itself the walk is its period, and from
+    another state it is the period's last terms or, off the cycle, None
+    once cap is the period length."""
+    root = isqrt(D)
+    terms: list[int] = []
+    for _ in repeat(None, cap):
         a = (P + root) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-        if P == P0 and Q == Q0:
-            return EventuallyPeriodicCF(preperiod, tuple(terms))
-    raise CFError(f"expansion longer than the budget of {budget} terms")
-
-
-def _steps_to(P: int, Q: int, D: int, P1: int, Q1: int, cap: int) -> Optional[int]:
-    """Steps of the state recursion from the reduced state (P, Q) over D to
-    the state (P1, Q1), or None when it takes cap steps or more.  A
-    reduced state stays reduced, so each floor is (P + isqrt(D)) // Q; with
-    cap the period length of (P1, Q1), None means the two lie on different
-    cycles.  No terms are recorded: they are the period's last steps."""
-    root = isqrt(D)
-    for c in range(cap):
         if P == P1 and Q == Q1:
-            return c
-        a = (P + root) // Q
-        P = a * Q - P
-        Q = (D - P * P) // Q
+            return tuple(terms)
     return None
 
 

@@ -14,12 +14,7 @@ from typing import Optional
 
 from ._value import Value
 from .contfrac import (
-    EventuallyPeriodicCF,
-    _reduced_state,
-    _steps_to,
-    _transfer,
-    expand_surd,
-    least_rotation,
+    EventuallyPeriodicCF, _periodic, _reduced_state, _transfer, _walk, least_rotation,
 )
 from .errors import TorusError
 from .surd import QuadraticSurd
@@ -34,11 +29,11 @@ class TorusParameter(Value):
         object.__setattr__(self, "theta", theta)
 
     # cached_property writes the instance __dict__ directly, past the
-    # refused assignment: each parameter is expanded and its period
-    # rotated at most once, however many verbs ask.
+    # refused assignment: each parameter's preperiod and period are walked
+    # and its period rotated at most once, however many verbs ask.
     @cached_property
     def expansion(self) -> EventuallyPeriodicCF:
-        return expand_surd(self.theta)
+        return _periodic(self.reduced)
 
     @cached_property
     def rotation(self) -> int:
@@ -49,7 +44,7 @@ class TorusParameter(Value):
     def reduced(self) -> tuple[tuple[int, ...], int, int, int, int]:
         """(preperiod, P, Q, D, M): theta's first reduced complete quotient
         (P + sqrt(D))/Q, D = M^2 * theta.d, and the terms before it; the
-        Morita lookup reads this instead of the whole expansion."""
+        expansion and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
 
 
@@ -129,26 +124,25 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     cycle (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  So: the
     fields must agree; x = (P2 + sqrt(D2))/Q2 must be written over D1 as
     (P + sqrt(D1))/Q with integers P, Q and Q | D1 - P^2, the only way x
-    can be a state of theta1; and fewer than L steps must carry x to
-    theta1's first reduced quotient.  After c steps, x is theta1's
-    quotient c terms before the end of its period p1, so w1 is theta1's
-    preperiod and w2 is theta2's followed by p1[L - c:].  Any shorter
-    pair of such prefixes differs in length by the same amount, so it
-    gives the same witness."""
+    can be a state of theta1; and the walk from x must come to theta1's
+    first reduced quotient within L = |p1| steps (contfrac._walk).  Its
+    terms, () when x is that quotient, are the last terms of p1, so w1 is
+    theta1's preperiod and w2 is theta2's followed by the walk.  Any
+    shorter pair of such prefixes differs in length by the same amount,
+    so it gives the same witness."""
     if t1.theta.d != t2.theta.d:
         return None
-    cf1 = t1.expansion
-    _, P1, Q1, D1, M1 = t1.reduced
+    p1 = t1.expansion.period
+    pre1, P1, Q1, D1, M1 = t1.reduced
     pre2, P2, Q2, _, M2 = t2.reduced
     P, p_rem = divmod(P2 * M1, M2)
     Q, q_rem = divmod(Q2 * M1, M2)
     if p_rem or q_rem or (D1 - P * P) % Q:
         return None
-    p1 = cf1.period
-    c = _steps_to(P, Q, D1, P1, Q1, len(p1))
-    if c is None:
+    tail = () if P == P1 and Q == Q1 else _walk(P, Q, D1, P1, Q1, len(p1))
+    if tail is None:
         return None
-    return cf1.preperiod, pre2 + p1[len(p1) - c :], p1
+    return pre1, pre2 + tail, p1
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:

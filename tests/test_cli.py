@@ -153,6 +153,33 @@ class TestBatch:
         with pytest.raises(UsageError):
             run_batch(req)
 
+    @pytest.mark.parametrize("ids", [[1, 1], [True, True], [None, None]])
+    def test_duplicate_ids_of_one_type_rejected(self, ids):
+        req = [{"id": i, "verb": "curve.j", "args": {}} for i in ids]
+        with pytest.raises(UsageError, match="batch ids must be unique"):
+            run_batch(req)
+
+    def test_ids_of_distinct_json_values(self):
+        # equal in Python, distinct in JSON: each is echoed as it was sent
+        ids = [1, True, 1.0, "1", 0, False]
+        req = [{"id": i, "verb": "curve.j", "args": {"A": "1", "B": "0"}} for i in ids]
+        got = run_batch(req)
+        assert [(type(r["id"]), r["id"]) for r in got] == [(type(i), i) for i in ids]
+        assert {r["status"] for r in got} == {"ok"}
+
+    @pytest.mark.parametrize("bad", [[1], {"a": 1}, []])
+    def test_array_or_object_id_names_its_entry(self, bad):
+        req = [{"id": 0, "verb": "curve.j", "args": {}}, {"id": bad, "verb": "curve.j", "args": {}}]
+        with pytest.raises(UsageError) as exc:
+            run_batch(req)
+        assert str(exc.value) == "batch entry 1: 'id' must not be an array or object"
+
+    @pytest.mark.parametrize("verb", [["x"], {"cf.expand": 1}, 7, None])
+    def test_non_string_verb_is_unknown(self, verb):
+        got = run_batch([{"id": 1, "verb": verb, "args": {"theta": "sqrt(2)"}}])
+        assert got == [{"id": 1, "status": "error", "kind": "usage",
+                        "message": f"unknown verb '{verb}'"}]
+
     def test_non_integer_period_entry_is_isolated(self):
         req = [
             {"id": "bad", "verb": "cf.value", "args": {"period": ["x"]}},
@@ -647,6 +674,23 @@ class TestMainExitCodes:
         assert code == 0
         resp = json.loads(out)
         assert [r["status"] for r in resp] == ["ok", "error"]
+
+    def test_array_id_exits_one(self, capsys):
+        req = '[{"id": [1], "verb": "curve.j", "args": {"A": "1", "B": "0"}}]'
+        code, out, err = run_main(["batch", req], capsys)
+        assert (code, out) == (1, "")
+        assert err == "twistlab: batch entry 0: 'id' must not be an array or object\n"
+
+    @pytest.mark.parametrize("depth", [1000, 100000])
+    @pytest.mark.parametrize("verb", ["batch", "cf.value"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, verb, depth):
+        text = "[" * depth + "]" * depth
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for args in ([verb, text], [verb, "--in", str(path)]):
+            code, out, err = run_main(args, capsys)
+            assert (code, out) == (1, "")
+            assert err == "twistlab: malformed JSON input: nested too deeply\n"
 
     def test_malformed_batch_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

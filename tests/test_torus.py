@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab import torus
+from twistlab import contfrac, torus
 from twistlab.cli import run_batch
 from twistlab.surd import QuadraticSurd, parse_surd
 from twistlab.torus import (
@@ -187,58 +187,76 @@ class TestMoritaInvariant:
             assert morita_invariant(t) == expected
 
 
+def counts(walks: dict) -> dict:
+    return {name: len(args) for name, args in walks.items()}
+
+
 class TestOneExpansionPerParameter:
-    """Each parameter of a request is expanded and its period rotated
-    at most once, however many of its verbs' steps read them; a Morita
-    lookup expands theta1 only and runs theta2 to its first reduced
-    quotient (_reduced_state), or not at all in another field."""
+    """Each parameter of a request walks its preperiod and its period and
+    rotates its period at most once, however many of its verbs' steps
+    read them; a Morita lookup expands theta1 only and runs theta2 to its
+    first reduced quotient, or not at all in another field."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"expand_surd": 0, "least_rotation": 0, "_reduced_state": 0}
-        for name in counts:
-            original = getattr(torus, name)
+    def walks(self, monkeypatch):
+        """The first argument of each call of contfrac's walks and of
+        least_rotation, patched where contfrac defines them and where torus
+        imports them, so that a walk contfrac makes for itself counts too."""
+        walks = {name: [] for name in ("expand_surd", "_reduced_state", "_walk", "least_rotation")}
+        for name, log in walks.items():
+            original = getattr(contfrac, name)
 
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
+            def logged(*args, _log=log, _original=original):
+                _log.append(args[0])
                 return _original(*args)
 
-            monkeypatch.setattr(torus, name, counted)
-        return counts
+            for module in (contfrac, torus):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, logged)
+        return walks
 
     @pytest.mark.parametrize(
-        "theta2,reduced",
+        "theta2,preperiods,walked",
         [
-            # same field: theta1's and theta2's first reduced quotients
-            pytest.param("1+sqrt(100003)", 2, id="1+sqrt(100003)"),
-            # another field: theta2 is never expanded
-            pytest.param("sqrt(7)", 0, id="sqrt(7)"),
+            # same field: theta1's and theta2's preperiods, and theta1's
+            # period; theta2's first reduced quotient is theta1's, so no tail
+            pytest.param("1+sqrt(100003)", ["sqrt(100003)", "1+sqrt(100003)"], 1,
+                         id="1+sqrt(100003)"),
+            # theta2's quotient lies 171 steps before theta1's on its cycle
+            pytest.param("(1+sqrt(100003))/2", ["sqrt(100003)", "(1+sqrt(100003))/2"], 2,
+                         id="(1+sqrt(100003))/2"),
+            # another field: theta2 is never walked, theta1 only for its invariant
+            pytest.param("sqrt(7)", ["sqrt(100003)"], 1, id="sqrt(7)"),
         ],
     )
-    def test_morita_entry(self, calls, theta2, reduced):
+    def test_morita_entry(self, walks, theta2, preperiods, walked):
         entry = {"id": 1, "verb": "torus.morita",
                  "args": {"theta1": "sqrt(100003)", "theta2": theta2}}
         assert run_batch([entry])[0]["status"] == "ok"
-        assert calls == {"expand_surd": 1, "least_rotation": 1, "_reduced_state": reduced}
+        # one preperiod walk per parameter, the one inside theta1's expansion included
+        assert walks["_reduced_state"] == [parse_surd(t) for t in preperiods]
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": len(preperiods),
+                                 "_walk": walked, "least_rotation": 1}
 
-    def test_other_field_over_budget_never_expands_theta2(self, calls):
+    def test_other_field_over_budget_never_expands_theta2(self, walks):
         t1 = TorusParameter(QuadraticSurd.sqrt_of(2))
         t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
-        assert calls == {"expand_surd": 0, "least_rotation": 0, "_reduced_state": 0}
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
         assert "expansion" not in vars(t2) and "reduced" not in vars(t2)
 
-    def test_invariant_entry(self, calls):
+    def test_invariant_entry(self, walks):
         entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
         assert run_batch([entry])[0]["result"] == {"invariant": [1]}
-        assert calls == {"expand_surd": 1, "least_rotation": 1, "_reduced_state": 0}
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 1, "_walk": 1, "least_rotation": 1}
 
-    def test_verbs_share_the_expansions(self, calls):
+    def test_verbs_share_the_expansions(self, walks):
         t1, t2 = TorusParameter(S(0, 1, 1, 19)), TorusParameter(S(3, 1, 2, 19))
         assert morita_equivalent(t1, t2) is not None
         sl2_witness(t1, t2)
         morita_invariant(t2)
-        assert calls == {"expand_surd": 2, "least_rotation": 1, "_reduced_state": 2}
+        # theta1's period, theta2's tail for each witness, theta2's period
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 4, "least_rotation": 1}
 
 
 class TestAgainstBruteForce:
