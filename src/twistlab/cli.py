@@ -21,7 +21,9 @@ from typing import Optional
 
 # the layers are loaded lazily (see __init__): a verb runs only the ones it calls
 from . import contfrac, dimgroup, elliptic, surd, torus
-from .errors import CFError, CurveError, DimGroupError, SurdError, TorusError, digit_limit_text
+from .errors import (
+    CFError, CurveError, DimGroupError, SurdError, TorusError, clipped, digit_limit_text,
+)
 
 
 class UsageError(Exception):
@@ -54,7 +56,7 @@ def _int(value, what: str) -> int:
             return int(value)
         except ValueError:  # beyond the interpreter's digit limit
             raise UsageError(f"{what}: {digit_limit_text()}") from None
-    raise UsageError(f"{what} must be an integer, got {value!r}")
+    raise UsageError(f"{what} must be an integer, got {clipped(repr(value))}")
 
 
 _FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -69,7 +71,7 @@ def _fraction_arg(args: dict, key: str) -> Fraction:
         return Fraction(value)
     match = _FRACTION_TEXT.fullmatch(value) if isinstance(value, str) else None
     if not match:
-        raise UsageError(f"argument '{key}' must be an integer or n/m, got {value!r}")
+        raise UsageError(f"argument '{key}' must be an integer or n/m, got {clipped(repr(value))}")
     num = _int(match[1], f"argument '{key}'")
     den = _int(match[2] or "1", f"argument '{key}'")
     if den == 0:
@@ -81,7 +83,7 @@ def _shaped(value, kind: type, what: str):
     """value itself if it is a JSON array (kind list) or object (kind dict)."""
     if not isinstance(value, kind):
         name = "array" if kind is list else "object"
-        raise UsageError(f"{what} must be a JSON {name}, got {value!r}")
+        raise UsageError(f"{what} must be a JSON {name}, got {clipped(repr(value))}")
     return value
 
 
@@ -260,7 +262,7 @@ VERBS = {
 
 def run_command(verb: str, args: dict) -> dict:
     if not isinstance(verb, str) or verb not in VERBS:  # an array or object cannot be looked up
-        raise UsageError(f"unknown verb '{verb}'")
+        raise UsageError(f"unknown verb '{clipped(str(verb))}'")
     if not isinstance(args, dict):
         raise UsageError("command arguments must be a JSON object")
     return VERBS[verb](args)

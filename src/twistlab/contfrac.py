@@ -13,11 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
+from threading import Lock
 from typing import Iterator, Optional, Union
 
 from . import surd
 from ._value import Value
-from .errors import CFError, NotPrimitiveError
+from .errors import CFError, NotPrimitiveError, clipped
 
 
 # Most terms expand_surd produces, preperiod and period together, for a
@@ -65,7 +66,7 @@ def canonical_rotation(period) -> tuple[int, ...]:
     if not word:
         raise CFError("empty period")
     if not is_primitive(word):
-        raise NotPrimitiveError(f"not primitive: {word}")
+        raise NotPrimitiveError(f"not primitive: {clipped(str(word))}")
     k = least_rotation(word)
     return word[k:] + word[:k]
 
@@ -130,7 +131,7 @@ class EventuallyPeriodicCF(Value):
         if not period:
             raise CFError("period must be nonempty")
         if not is_primitive(period):
-            raise NotPrimitiveError(f"period not primitive: {period}")
+            raise NotPrimitiveError(f"period not primitive: {clipped(str(period))}")
         if min(period) < 1:
             raise CFError("period terms must be >= 1")
         if len(preperiod) > 1 and min(preperiod[1:]) < 1:
@@ -226,21 +227,86 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     Galois's theorem exactly the reduced states have purely periodic
     expansions: the preperiod is the walk to the first reduced state
     (_reduced_state), and the period is the walk from that state back to
-    itself (_periodic).  An expansion of more than _term_budget(D) terms
-    in all raises CFError.
+    itself (_cycle).  An expansion of more than _term_budget(D) terms in
+    all raises CFError.
     """
-    return _periodic(_reduced_state(x))
+    return _periodic(_reduced_state(x))[0]
 
 
-def _periodic(reduced: tuple[tuple[int, ...], int, int, int, int]) -> EventuallyPeriodicCF:
-    """The expansion of the surd whose _reduced_state is reduced: its
-    period is the walk from the first reduced state back to itself."""
+def _periodic(
+    reduced: tuple[tuple[int, ...], int, int, int, int],
+) -> tuple[EventuallyPeriodicCF, int]:
+    """The expansion of the surd whose _reduced_state is reduced, and the
+    least-rotation offset of its period, the cycle through its first
+    reduced state."""
     preperiod, P, Q, D, _ = reduced
     budget = _term_budget(D)
-    period = _walk(P, Q, D, P, Q, budget - len(preperiod))
-    if period is None:
+    found = _cycle(P, Q, D, budget - len(preperiod))
+    if found is None:
         raise CFError(f"expansion longer than the budget of {budget} terms")
-    return EventuallyPeriodicCF(preperiod, period)
+    return EventuallyPeriodicCF(preperiod, found[0]), found[1]
+
+
+# Most machine words the cycle memo holds.  A cycle's k ints (its terms,
+# P, Q and D) of b bits in all count k + b // 64 words, at least the words
+# they hold, and the cycle _CYCLE_WORDS more for its tuples, its dict slot
+# and its ints' headers.  A pass of the tails benchmark holds about 10^4
+# words, and of verbs-mixed about 4.6 * 10^4; a period of more than about
+# 6.5 * 10^4 terms (sqrt(d) for some d past 10^9) is answered but never
+# kept.
+CYCLE_MEMO_WORDS = 1 << 16
+# tracemalloc found 34-36 words a cycle besides its ints' words in memos
+# of one-term cycles (CPython 3.11)
+_CYCLE_WORDS = 40
+
+# (P, Q, D) of a reduced state -> (period, least-rotation offset) of the
+# walk from it.  A cycle is kept under the state its walk started from, so
+# a cycle entered at several of its states is kept once for each.
+_cycles: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
+_cycle_words = 0
+_cycle_lock = Lock()
+
+
+def _cycle(P: int, Q: int, D: int, cap: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """(period, offset): the walk from the reduced state (P, Q) over D back
+    to itself and its least rotation's offset, or None when the period is
+    longer than cap terms.  Both depend on the state alone, so they are
+    walked and rotated once and read from the memo while it keeps them.
+    When keeping a cycle would pass CYCLE_MEMO_WORDS, the memo is emptied
+    first; a cycle heavier than that on its own is never kept."""
+    found = _cycles.get((P, Q, D))
+    if found is None:
+        period = _walk(P, Q, D, P, Q, cap)
+        if period is None:
+            return None
+        found = period, least_rotation(period)
+        _keep((P, Q, D), found)
+    return found if len(found[0]) <= cap else None
+
+
+def _keep(state: tuple[int, int, int], cycle: tuple[tuple[int, ...], int]) -> None:
+    global _cycle_words
+    period = cycle[0]
+    bits = sum(map(int.bit_length, period)) + sum(map(int.bit_length, state))
+    words = _CYCLE_WORDS + len(period) + 3 + bits // 64
+    if words > CYCLE_MEMO_WORDS:
+        return
+    with _cycle_lock:  # another thread may keep or clear between the lookup and here
+        if state in _cycles:
+            return
+        if _cycle_words + words > CYCLE_MEMO_WORDS:
+            _cycles.clear()
+            _cycle_words = 0
+        _cycles[state] = cycle
+        _cycle_words += words
+
+
+def _clear_cycles() -> None:
+    """Empty the cycle memo."""
+    global _cycle_words
+    with _cycle_lock:
+        _cycles.clear()
+        _cycle_words = 0
 
 
 def _walk(P: int, Q: int, D: int, P1: int, Q1: int, cap: int) -> Optional[tuple[int, ...]]:

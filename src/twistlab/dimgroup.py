@@ -24,7 +24,9 @@ from typing import Optional
 # verb first calls into it, so a group given by phi loads none of them
 from . import contfrac, surd, torus
 from ._value import Value
-from .errors import DimGroupError, NotCFTypeError, NotPrimitiveMatrixError, SingularMatrixError
+from .errors import (
+    DimGroupError, NotCFTypeError, NotPrimitiveMatrixError, SingularMatrixError, clipped,
+)
 
 
 class Positivity(Enum):
@@ -97,7 +99,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
     if set(map(type, values)) <= {int}:
         return values
     bad = next(x for x in values if type(x) is not int)
-    raise DimGroupError(f"{what} entries must be integers, got {bad!r}")
+    raise DimGroupError(f"{what} entries must be integers, got {clipped(repr(bad))}")
 
 
 class K0Element(Value):
@@ -106,7 +108,7 @@ class K0Element(Value):
     def __init__(self, stage: int, vector):
         vector = _integers(vector, "vector")
         if type(stage) is not int:
-            raise DimGroupError(f"stage must be an integer, got {stage!r}")
+            raise DimGroupError(f"stage must be an integer, got {clipped(repr(stage))}")
         if stage < 0:
             raise DimGroupError("stage must be nonnegative")
         object.__setattr__(self, "stage", stage)
@@ -162,9 +164,9 @@ def from_matrix(phi) -> StationaryDimensionGroup:
     if any(x < 0 for row in rows for x in row):
         raise DimGroupError("matrix entries must be nonnegative")
     if _det(rows) == 0:
-        raise SingularMatrixError(f"singular matrix: {rows}")
+        raise SingularMatrixError(f"singular matrix: {clipped(str(rows))}")
     if not _is_primitive_matrix(rows):
-        raise NotPrimitiveMatrixError(f"not primitive: {rows}")
+        raise NotPrimitiveMatrixError(f"not primitive: {clipped(str(rows))}")
     return StationaryDimensionGroup(rows)
 
 
@@ -176,7 +178,7 @@ def from_cf_period(period) -> StationaryDimensionGroup:
     if not word or min(word) < 1:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):
-        raise DimGroupError(f"not primitive: {word}")
+        raise DimGroupError(f"not primitive: {clipped(str(word))}")
     return StationaryDimensionGroup._of_word(word)
 
 

@@ -15,6 +15,19 @@ def digit_limit_text() -> str:
     return f"integer longer than the limit of {sys.get_int_max_str_digits()} digits"
 
 
+# Most characters of an offending value that an error message quotes.
+SHOWN_CHARS = 100
+
+
+def clipped(text: str) -> str:
+    """text, as an error message quotes an offending value: whole up to
+    SHOWN_CHARS characters, else its first SHOWN_CHARS and the count of
+    the rest, so that a bad input of any size gets a short message."""
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text) - SHOWN_CHARS} more characters)"
+
+
 class SurdError(ValueError):
     """Base for domain errors in quadratic-surd arithmetic."""
 

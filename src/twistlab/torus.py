@@ -14,7 +14,7 @@ from typing import Optional
 
 from ._value import Value
 from .contfrac import (
-    EventuallyPeriodicCF, _periodic, _reduced_state, _transfer, _walk, least_rotation,
+    EventuallyPeriodicCF, _periodic, _reduced_state, _transfer, _walk,
 )
 from .errors import TorusError
 from .surd import QuadraticSurd
@@ -29,16 +29,23 @@ class TorusParameter(Value):
         object.__setattr__(self, "theta", theta)
 
     # cached_property writes the instance __dict__ directly, past the
-    # refused assignment: each parameter's preperiod and period are walked
-    # and its period rotated at most once, however many verbs ask.
+    # refused assignment: each parameter's preperiod is walked at most
+    # once, however many verbs ask.  Its period comes from contfrac's cycle
+    # memo, walked and rotated once for all the parameters that enter the
+    # cycle at the same state, while the memo keeps it.
     @cached_property
-    def expansion(self) -> EventuallyPeriodicCF:
+    def periodic(self) -> tuple[EventuallyPeriodicCF, int]:
+        """theta's expansion and the least-rotation offset of its period."""
         return _periodic(self.reduced)
 
-    @cached_property
+    @property
+    def expansion(self) -> EventuallyPeriodicCF:
+        return self.periodic[0]
+
+    @property
     def rotation(self) -> int:
         """Least-rotation offset of the (primitive) period."""
-        return least_rotation(self.expansion.period)
+        return self.periodic[1]
 
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], int, int, int, int]:

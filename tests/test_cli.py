@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistlab
+from twistlab import contfrac
 from twistlab.cli import VERBS, UsageError, main, run_batch, run_command
 from twistlab.contfrac import expand_surd
 from twistlab.surd import QuadraticSurd, parse_surd
@@ -258,6 +259,20 @@ def low_digit_limit():
 def test_argument_checks_answer_in_batch(verb, args, kind, message):
     (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
     assert got == {"id": 0, "status": "error", "message": message, "kind": kind}
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("cf.value", {"period": ["x" * 10**6]}),
+    ("curve.j", {"A": list(range(200000)), "B": "0"}),
+    ("cf.convergents", {"period": [1], "count": "1" * 10**6 + "x"}),
+    ("dimgroup.positive", {"phi": {"x" * 10**6: 1}, "vector": [1]}),
+    ("x" * 10**6, {}),
+    ({"x" * 10**6: 1}, {}),
+], ids=["period-entry", "fraction", "count", "phi", "verb", "object-verb"])
+def test_usage_errors_answer_in_under_a_kilobyte(verb, args):
+    (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+    assert got["kind"] == "usage" and " more characters)" in got["message"]
+    assert len(json.dumps(got)) < 1000
 
 
 class TestStrictIntegers:
@@ -722,6 +737,22 @@ class TestDeterminismAndRoundTrip:
         _, out2, _ = run_main(["cf.expand", json.dumps({"theta": value})], capsys)
         assert json.loads(out2) == {"preperiod": [1], "period": [2]}
         assert parsed == QuadraticSurd(0, 1, 1, 2)
+
+    def test_results_do_not_depend_on_batch_order(self):
+        # several of these enter one cycle of reduced states, at one state or at two
+        thetas = ["sqrt(19)", "(3+sqrt(19))/2", "4+sqrt(19)", "sqrt(94)", "(1+sqrt(94))/3",
+                  "sqrt(100003)", "1+sqrt(100003)", "(1+sqrt(100003))/2"]
+        entries = [{"verb": verb, "args": {"theta": theta}}
+                   for theta in thetas for verb in ("cf.expand", "torus.invariant")]
+        entries += [{"verb": "torus.morita", "args": {"theta1": a, "theta2": b}}
+                    for a in thetas for b in thetas[::3]]
+        for i, entry in enumerate(entries):
+            entry["id"] = i
+        forward = run_batch(entries)
+        assert all(r["status"] == "ok" for r in forward)
+        backward = run_batch(entries[::-1])
+        contfrac._clear_cycles()
+        assert run_batch(entries[::-1]) == backward == forward[::-1]
 
     def test_pretty_flag(self, capsys):
         code, out, _ = run_main(["curve.j", '{"A": "1", "B": "0"}', "--pretty"], capsys)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 from contextlib import ExitStack
 from fractions import Fraction
@@ -91,8 +93,16 @@ class TestCanonicalForms:
         assert FiniteCF((-3,)).terms == (-3,)
 
     def test_periodic_rejects_imprimitive_period(self):
-        with pytest.raises(NotPrimitiveError):
+        with pytest.raises(NotPrimitiveError, match=r"^period not primitive: \(1, 2, 1, 2\)$"):
             EventuallyPeriodicCF((), (1, 2, 1, 2))
+
+    def test_imprimitive_message_quotes_a_prefix(self):
+        # the word takes 1200000 characters to print
+        word = (1, 2) * 200000
+        for reject in (lambda: EventuallyPeriodicCF((), word), lambda: canonical_rotation(word)):
+            with pytest.raises(NotPrimitiveError) as raised:
+                reject()
+            assert str(raised.value).endswith(f"{str(word)[:100]}... (1199900 more characters)")
 
     def test_periodic_rejects_absorbable_preperiod(self):
         with pytest.raises(CFError):
@@ -205,6 +215,111 @@ class TestExpandSurd:
         while q < digits:
             x, q = 3 * x + 4 * q, 2 * x + 3 * q
         assert expand_surd(S(0, q, 1, 2)) == EventuallyPeriodicCF((x,), (2 * x,))
+
+
+def held_words() -> int:
+    """The machine words of the ints in the cycle memo, at least one each."""
+    ints = [n for state, (period, _) in contfrac._cycles.items() for n in state + period]
+    return sum(max(1, -(-n.bit_length() // 64)) for n in ints)
+
+
+class TestCycleMemo:
+    """contfrac keeps each walked cycle by its reduced state, within
+    CYCLE_MEMO_WORDS; what it keeps never changes an answer."""
+
+    SURDS = [S(0, 1, 1, d) for d in range(2, 400) if int(d**0.5) ** 2 != d]
+
+    def test_words_held_never_pass_the_cap(self, monkeypatch):
+        monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 300)
+        expansions, emptied = [], 0
+        for x in self.SURDS:
+            kept = len(contfrac._cycles)
+            expansions.append(expand_surd(x))
+            emptied += len(contfrac._cycles) < kept
+            assert held_words() <= contfrac._cycle_words <= 300
+        assert emptied > 1
+        contfrac._clear_cycles()
+        monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 0)
+        assert expansions == [expand_surd(x) for x in self.SURDS]
+
+    def test_cycle_heavier_than_the_cap_is_answered_not_kept(self, monkeypatch):
+        # 44 words for sqrt(2)'s cycle, 59 for sqrt(94)'s
+        monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 50)
+        assert expand_surd(S(0, 1, 1, 2)).period == (2,)
+        kept = dict(contfrac._cycles)
+        assert len(kept) == 1
+        # sqrt(94) = [9; (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)]
+        for _ in range(2):
+            assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
+            assert contfrac._cycles == kept
+
+    def test_long_one_term_cycles_stay_within_the_cap(self):
+        # (n + sqrt(n^2 + 1))/1 is reduced, with the one-term period (2n);
+        # each of these cycles counts about 460 words
+        for k in range(200):
+            n = 10**1999 + k
+            assert contfrac._cycle(n, 1, n * n + 1, contfrac.TERM_BUDGET) == ((2 * n,), 0)
+            assert held_words() <= contfrac._cycle_words <= contfrac.CYCLE_MEMO_WORDS
+        assert len(contfrac._cycles) < 200
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # more threads than cores, switching often, with the memo emptied
+        # every few cycles: no answer changes, and under the lock the word
+        # count is always that of the cycles held
+        class Yielding(dict):
+            def clear(self):
+                super().clear()
+                time.sleep(1e-4)  # another thread may run between the clear and the count
+
+        def counted() -> int:
+            return sum(contfrac._CYCLE_WORDS + len(period) + 3
+                       + sum(map(int.bit_length, period + state)) // 64
+                       for state, (period, _) in contfrac._cycles.items())
+
+        monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 400)
+        want = [expand_surd(x) for x in self.SURDS]
+        monkeypatch.setattr(contfrac, "_cycles", Yielding())
+        contfrac._clear_cycles()
+        got, failures = {}, []
+
+        def run(k):
+            try:
+                got[k] = []
+                for x in self.SURDS[k % 3:] + self.SURDS[: k % 3]:
+                    got[k].append(expand_surd(x))
+                    with contfrac._cycle_lock:
+                        assert contfrac._cycle_words == counted() <= 400
+            except Exception as exc:  # reported below; a thread cannot fail the test
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        for k, expansions in got.items():
+            assert expansions == want[k % 3:] + want[: k % 3]
+
+    def test_over_budget_state_answers_alike_every_time(self, monkeypatch):
+        def error() -> str:
+            with pytest.raises(CFError) as raised:
+                expand_surd(S(0, 1, 1, 94))
+            return str(raised.value)
+
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
+        assert error() == error() == "expansion longer than the budget of 16 terms"
+        assert contfrac._cycles == {}
+        # kept under a larger budget, the cycle is still over the smaller one
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
+        assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
+        assert error() == "expansion longer than the budget of 16 terms"
 
 
 class TestValueOf:

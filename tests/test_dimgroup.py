@@ -89,8 +89,24 @@ class TestFromMatrix:
             build()
 
     def test_rank3_cyclic_not_primitive(self):
-        with pytest.raises(NotPrimitiveMatrixError):
+        with pytest.raises(NotPrimitiveMatrixError,
+                           match=r"^not primitive: \(\(0, 1, 0\), \(0, 0, 1\), \(1, 0, 0\)\)$"):
             from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: from_cf_period([1, 2] * 200000), DimGroupError),
+        (lambda: from_matrix([[int(i == j) for j in range(60)] for i in range(60)]),
+         NotPrimitiveMatrixError),
+        (lambda: from_matrix([[1] * 60] * 60), SingularMatrixError),
+        (lambda: from_cf_period(["x" * 10**6]), DimGroupError),
+        (lambda: K0Element(0, (1, "x" * 10**6)), DimGroupError),
+        (lambda: K0Element(["x"] * 10**5, (1, 0)), DimGroupError),
+    ], ids=["period-not-primitive", "matrix-not-primitive", "singular", "period-entry",
+            "vector-entry", "stage"])
+    def test_messages_quote_a_prefix_of_the_value(self, build, error):
+        with pytest.raises(error) as raised:
+            build()
+        assert len(str(raised.value)) < 200 and str(raised.value).endswith(" more characters)")
 
 
 def wielandt_powering(m) -> bool:

@@ -192,9 +192,11 @@ def counts(walks: dict) -> dict:
 
 
 class TestOneExpansionPerParameter:
-    """Each parameter of a request walks its preperiod and its period and
-    rotates its period at most once, however many of its verbs' steps
-    read them; a Morita lookup expands theta1 only and runs theta2 to its
+    """Each parameter walks its preperiod at most once, however many of
+    its verbs' steps read it.  Each cycle of reduced states is walked and
+    rotated once for all the parameters and requests that enter it at the
+    same state, while contfrac's memo keeps it (the memo starts each test
+    empty).  A Morita lookup expands theta1 only and runs theta2 to its
     first reduced quotient, or not at all in another field."""
 
     @pytest.fixture
@@ -243,7 +245,7 @@ class TestOneExpansionPerParameter:
         t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
-        assert "expansion" not in vars(t2) and "reduced" not in vars(t2)
+        assert "periodic" not in vars(t2) and "reduced" not in vars(t2)
 
     def test_invariant_entry(self, walks):
         entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
@@ -255,8 +257,17 @@ class TestOneExpansionPerParameter:
         assert morita_equivalent(t1, t2) is not None
         sl2_witness(t1, t2)
         morita_invariant(t2)
-        # theta1's period, theta2's tail for each witness, theta2's period
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 4, "least_rotation": 1}
+        # theta1's cycle, theta2's tail for each witness, and theta2's cycle,
+        # which starts at another state of it; each cycle rotated once
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 4, "least_rotation": 2}
+
+    def test_invariants_of_one_cycle_walk_it_once(self, walks):
+        # 1+sqrt(100003) enters the cycle of sqrt(100003) at the same state
+        entries = [{"id": i, "verb": "torus.invariant", "args": {"theta": theta}}
+                   for i, theta in enumerate(["sqrt(100003)", "1+sqrt(100003)"])]
+        first, second = run_batch(entries)
+        assert first["result"] == second["result"] and len(first["result"]["invariant"]) == 342
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 1, "least_rotation": 1}
 
 
 class TestAgainstBruteForce:
