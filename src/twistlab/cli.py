@@ -374,17 +374,18 @@ def main(argv=None) -> int:
         except RecursionError:  # arrays or objects nested about 1000 deep
             raise UsageError("malformed JSON input: nested too deeply") from None
 
-        if opts.verb == "batch":
-            emit(run_batch(payload), payload)
-        else:
-            emit(run_command(opts.verb, payload))
+        try:
+            if opts.verb == "batch":
+                emit(run_batch(payload), payload)
+            else:
+                emit(run_command(opts.verb, payload))
+        except DOMAIN_ERRORS as exc:  # printed like a result: a failing --out is a usage error
+            emit({"error": {"message": str(exc), "kind": type(exc).__name__}})
+            return 2
         return 0
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:  # --in FILE not UTF-8
         print(f"twistlab: {exc}", file=sys.stderr)
         return 1
-    except DOMAIN_ERRORS as exc:
-        emit({"error": {"message": str(exc), "kind": type(exc).__name__}})
-        return 2
 
 
 if __name__ == "__main__":

@@ -178,11 +178,11 @@ def expand_rational(x) -> FiniteCF:
     return FiniteCF(tuple(terms))
 
 
-def _reduced_state(x: surd.QuadraticSurd) -> tuple[tuple[int, ...], int, int, int, int]:
-    """(preperiod, P, Q, D, M): the terms of x before its first reduced
-    complete quotient (P + sqrt(D))/Q, with Q | D - P^2 and D = M^2 * x.d.
+def _reduced_state(x: surd.QuadraticSurd) -> tuple[tuple[int, ...], int, int, int]:
+    """(preperiod, P, Q, D): the terms of x before its first reduced
+    complete quotient (P + sqrt(D))/Q, with Q | D - P^2 and D/x.d a square.
 
-    x = (p + q*sqrt(d))/r is first written as (P + sqrt(D))/Q with M = |q|,
+    x = (p + q*sqrt(d))/r is first written as (P + sqrt(D))/Q, D = q^2 * d,
     and scaled by |Q| when Q does not divide D - P^2.  The preperiod runs
     the state recursion of expand_surd until the state is reduced; more
     than _term_budget(D) terms raise CFError.
@@ -190,20 +190,17 @@ def _reduced_state(x: surd.QuadraticSurd) -> tuple[tuple[int, ...], int, int, in
     if x.is_rational:
         raise CFError("rational input: use expand_rational")
     # rewrite (p + q*sqrt(d))/r as (P + sqrt(D))/Q with positive radical
-    M = abs(x.q)
-    if x.q > 0:
-        P, Q, D = x.p, x.r, M * M * x.d
-    else:
-        P, Q, D = -x.p, -x.r, M * M * x.d
+    sign = 1 if x.q > 0 else -1
+    P, Q, D = sign * x.p, sign * x.r, x.q * x.q * x.d
     if (D - P * P) % Q != 0:
         scale = abs(Q)
-        P, Q, D, M = P * scale, Q * scale, D * scale * scale, M * scale
+        P, Q, D = P * scale, Q * scale, D * scale * scale
     root = isqrt(D)
     budget = _term_budget(D)
     terms: list[int] = []
     for _ in repeat(None, budget):
         if 0 < P <= root and root - P < Q <= root + P:
-            return tuple(terms), P, Q, D, M
+            return tuple(terms), P, Q, D
         # Q < 0: the value lies strictly between P+root and P+root+1, and no
         # integer multiple of |Q| sits in that open interval, so the floor is
         # the floor at the right endpoint.
@@ -234,12 +231,12 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
 
 
 def _periodic(
-    reduced: tuple[tuple[int, ...], int, int, int, int],
+    reduced: tuple[tuple[int, ...], int, int, int],
 ) -> tuple[EventuallyPeriodicCF, int]:
     """The expansion of the surd whose _reduced_state is reduced, and the
     least-rotation offset of its period, the cycle through its first
     reduced state."""
-    preperiod, P, Q, D, _ = reduced
+    preperiod, P, Q, D = reduced
     budget = _term_budget(D)
     found = _cycle(P, Q, D, budget - len(preperiod))
     if found is None:
@@ -276,7 +273,7 @@ def _cycle(P: int, Q: int, D: int, cap: int) -> Optional[tuple[tuple[int, ...], 
     first; a cycle heavier than that on its own is never kept."""
     found = _cycles.get((P, Q, D))
     if found is None:
-        period = _walk(P, Q, D, P, Q, cap)
+        period = _walk(P, Q, D, cap)
         if period is None:
             return None
         found = period, least_rotation(period)
@@ -309,22 +306,19 @@ def _clear_cycles() -> None:
         _cycle_words = 0
 
 
-def _walk(P: int, Q: int, D: int, P1: int, Q1: int, cap: int) -> Optional[tuple[int, ...]]:
+def _walk(P: int, Q: int, D: int, cap: int) -> Optional[tuple[int, ...]]:
     """The terms of the state recursion from the reduced state (P, Q) over
-    D until it first comes to the state (P1, Q1), at least one step; None
-    past cap steps.  A reduced state stays reduced, so each floor is
-    (P + isqrt(D)) // Q.  The reduced states of one D form cycles, one per
-    tail class: from (P1, Q1) itself the walk is its period, and from
-    another state it is the period's last terms or, off the cycle, None
-    once cap is the period length."""
+    D until it first comes back to (P, Q): its period; None past cap steps.
+    A reduced state stays reduced, so each floor is (P + isqrt(D)) // Q."""
     root = isqrt(D)
+    P0, Q0 = P, Q
     terms: list[int] = []
     for _ in repeat(None, cap):
         a = (P + root) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-        if P == P1 and Q == Q1:
+        if P == P0 and Q == Q0:
             return tuple(terms)
     return None
 

@@ -10,12 +10,11 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 from typing import Optional
 
 from ._value import Value
-from .contfrac import (
-    EventuallyPeriodicCF, _periodic, _reduced_state, _transfer, _walk,
-)
+from .contfrac import EventuallyPeriodicCF, _cycle, _periodic, _reduced_state, _transfer
 from .errors import TorusError
 from .surd import QuadraticSurd
 
@@ -48,10 +47,10 @@ class TorusParameter(Value):
         return self.periodic[1]
 
     @cached_property
-    def reduced(self) -> tuple[tuple[int, ...], int, int, int, int]:
-        """(preperiod, P, Q, D, M): theta's first reduced complete quotient
-        (P + sqrt(D))/Q, D = M^2 * theta.d, and the terms before it; the
-        expansion and the Morita lookup continue from it."""
+    def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
+        """(preperiod, P, Q, D): theta's first reduced complete quotient
+        (P + sqrt(D))/Q, D a square times theta.d, and the terms before it;
+        the expansion and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
 
 
@@ -125,31 +124,37 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     both expansions continue with the same purely periodic tail, or None
     when the tail classes differ.
 
-    Only theta1 is expanded.  By Galois's theorem the reduced complete
-    quotients of theta1 form one cycle of the state recursion, and theta2
-    is equivalent exactly when its first reduced quotient x lies on that
-    cycle (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  So: the
-    fields must agree; x = (P2 + sqrt(D2))/Q2 must be written over D1 as
+    By Galois's theorem the reduced complete quotients of theta1 form one
+    cycle of the state recursion, and theta2 is equivalent exactly when
+    its first reduced quotient x lies on it: when x's cycle has the least
+    rotation of theta1's period, the normal form of the tail class
+    (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  So: the fields
+    must agree; x = (P2 + sqrt(D2))/Q2 must be written over D1 as
     (P + sqrt(D1))/Q with integers P, Q and Q | D1 - P^2, the only way x
-    can be a state of theta1; and the walk from x must come to theta1's
-    first reduced quotient within L = |p1| steps (contfrac._walk).  Its
-    terms, () when x is that quotient, are the last terms of p1, so w1 is
-    theta1's preperiod and w2 is theta2's followed by the walk.  Any
-    shorter pair of such prefixes differs in length by the same amount,
-    so it gives the same witness."""
+    can be a state of theta1; and x's cycle, read within L = |p1| terms
+    over D1 (contfrac._cycle), must rotate to p1.  x then lies
+    (k2 - k1) mod L steps before theta1's first reduced quotient, for the
+    least-rotation offsets k1 and k2, so w1 is theta1's preperiod and w2
+    is theta2's followed by that many terms of x's cycle.  Any shorter
+    pair of such prefixes differs in length by the same amount, so it
+    gives the same witness."""
     if t1.theta.d != t2.theta.d:
         return None
-    p1 = t1.expansion.period
-    pre1, P1, Q1, D1, M1 = t1.reduced
-    pre2, P2, Q2, _, M2 = t2.reduced
-    P, p_rem = divmod(P2 * M1, M2)
-    Q, q_rem = divmod(Q2 * M1, M2)
+    p1, k1 = t1.expansion.period, t1.rotation
+    pre1, _, _, D1 = t1.reduced
+    pre2, P2, Q2, D2 = t2.reduced
+    scale = isqrt(D1 * D2)  # M1/M2 = scale/D2 for D_i = M_i^2 * d
+    P, p_rem = divmod(P2 * scale, D2)
+    Q, q_rem = divmod(Q2 * scale, D2)
     if p_rem or q_rem or (D1 - P * P) % Q:
         return None
-    tail = () if P == P1 and Q == Q1 else _walk(P, Q, D1, P1, Q1, len(p1))
-    if tail is None:
+    found = _cycle(P, Q, D1, len(p1))
+    if found is None:
         return None
-    return pre1, pre2 + tail, p1
+    p2, k2 = found
+    if p2[k2:] + p2[:k2] != morita_invariant(t1):
+        return None
+    return pre1, pre2 + p2[:(k2 - k1) % len(p1)], p1
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:

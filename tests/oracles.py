@@ -1,20 +1,26 @@
 """Independent oracles used by the unit and acceptance tests.
 
-These deliberately avoid the library's fast paths: term streams come
-from naive floor-and-invert in exact surd arithmetic, Mobius images from
-surd operators, equivalence search is a breadth-first walk over
-unimodular words, Morita offsets come from both whole periods, each cut
-at its first repeated state, and their least rotations by brute force,
-positivity is capped iteration, curve identities are Fraction arithmetic
-on A and B with integer roots by bisection, and surd literals are read
-one character at a time by a recursive-descent scanner.
+These deliberately avoid the library's fast paths.  Term streams,
+Mobius images and the breadth-first search over unimodular words run on
+a quadratic-number core of plain integer tuples (a + b*sqrt(D))/c that
+uses no twistlab arithmetic: naive floor-and-invert, the image times its
+denominator's conjugate, and equality of rational and irrational parts.
+Morita offsets come from both whole periods, each cut at its first
+repeated state, and their least rotations by brute force.  Positivity
+is capped iteration, or exact at every rank from sympy's polynomials
+(perron_verdict).  Curve identities are Fraction arithmetic on A and B
+with integer roots by bisection, and surd literals are read one
+character at a time by a recursive-descent scanner.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+
+from sympy import Matrix, Poly, Symbol, eye
+from sympy.polys.matrices import DomainMatrix
 
 from twistlab.dimgroup import K0Element, Positivity, StationaryDimensionGroup
 from twistlab.errors import SurdParseError, digit_limit_text
@@ -30,17 +36,90 @@ GEN_J = UnimodularWitness(0, 1, 1, 0)
 GENERATORS = (GEN_T, GEN_TI, GEN_S, GEN_J)
 
 
+# -- quadratic numbers (a + b*sqrt(D))/c, in plain integers -------------
+# A tuple (a, b, c, D) with c > 0 and gcd(a, b, c) = 1; D >= 2 need not be
+# squarefree, and b = 0 for a rational.  Nothing in this core uses twistlab.
+
+
+def quad(a: int, b: int, c: int, D: int) -> tuple[int, int, int, int]:
+    """(a + b*sqrt(D))/c in lowest terms; a square D is folded into a."""
+    root = isqrt(D)
+    if root * root == D:
+        a, b, D = a + b * root, 0, 2
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(gcd(a, b), c)
+    return a // g, b // g, c // g, D
+
+
+def quad_sign(x: tuple) -> int:
+    """Sign of a + b*sqrt(D), c > 0: compare a^2 with b^2*D when the signs differ."""
+    a, b, _, D = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == 0 or sa == sb:
+        return sb or sa
+    if sb == 0:
+        return sa
+    return sa if a * a > b * b * D else sb
+
+
+def quad_equal(x: tuple, y: tuple) -> bool:
+    """Equal values, whatever their radicands: a1/c1 = a2/c2 and
+    b1*sqrt(D1)/c1 = b2*sqrt(D2)/c2, as the rational and the irrational
+    part of any equal pair must agree."""
+    (a1, b1, c1, D1), (a2, b2, c2, D2) = x, y
+    s1, s2 = b1 * c2, b2 * c1
+    return a1 * c2 == a2 * c1 and (s1 > 0) == (s2 > 0) and s1 * s1 * D1 == s2 * s2 * D2
+
+
+def quad_floor(x: tuple) -> int:
+    """|b|*sqrt(D) lies strictly between r = isqrt(b^2 D) and r + 1 for b != 0."""
+    a, b, c, D = x
+    if b == 0:
+        return a // c
+    r = isqrt(b * b * D)
+    return (a + r) // c if b > 0 else (a - r - 1) // c
+
+
+def quad_floor_invert(x: tuple) -> tuple[int, tuple | None]:
+    """(floor(x), 1/(x - floor(x))), None for the second at a whole x."""
+    t = quad_floor(x)
+    a, b, c, D = x
+    a -= t * c
+    if a == 0 and b == 0:
+        return t, None
+    # c / (a + b*sqrt(D)) = c*(a - b*sqrt(D)) / (a^2 - b^2*D)
+    return t, quad(c * a, -c * b, a * a - b * b * D, D)
+
+
+def quad_mobius(m: tuple[int, int, int, int], x: tuple) -> tuple:
+    """(m0*x + m1)/(m2*x + m3): numerator and denominator over the common
+    c, then times the denominator's conjugate."""
+    a, b, c, D = x
+    na, nb = m[0] * a + m[1] * c, m[0] * b
+    da, db = m[2] * a + m[3] * c, m[2] * b
+    return quad(na * da - nb * db * D, nb * da - na * db, da * da - db * db * D, D)
+
+
+def quad_of(x: QuadraticSurd) -> tuple:
+    """A library surd's value in the core."""
+    return quad(x.p, x.q, x.r, x.d)
+
+
 def naive_cf_terms(x: QuadraticSurd, count: int) -> list[int]:
     """First partial quotients by repeated floor / subtract / invert."""
     terms = []
+    y = quad_of(x)
     for _ in range(count):
-        a = x.floor()
-        terms.append(a)
-        rest = x - a
-        if rest.is_zero:
+        t, y = quad_floor_invert(y)
+        terms.append(t)
+        if y is None:
             break
-        x = rest.invert()
     return terms
+
+
+def _entries(m: UnimodularWitness) -> tuple[int, int, int, int]:
+    return m.a, m.b, m.c, m.d
 
 
 def _normalize_sign(m: UnimodularWitness) -> tuple[int, int, int, int]:
@@ -70,17 +149,19 @@ def unimodular_ball(length: int) -> list[UnimodularWitness]:
     return out
 
 
-def mobius_by_operators(m: UnimodularWitness, theta: QuadraticSurd) -> QuadraticSurd:
-    """(theta*a + b) / (theta*c + d) in five surd operations."""
-    return (theta * m.a + m.b) / (theta * m.c + m.d)
+def mobius_by_operators(m: UnimodularWitness, theta: QuadraticSurd) -> tuple:
+    """(theta*a + b) / (theta*c + d) in the quadratic-number core."""
+    return quad_mobius(_entries(m), quad_of(theta))
 
 
 def brute_force_equivalent(
     t1: TorusParameter, t2: TorusParameter, length: int = 12
 ) -> UnimodularWitness | None:
-    """Search every unimodular word up to `length` for a map t1 -> t2."""
+    """Search every unimodular word up to `length` for a map t1 -> t2, in
+    the quadratic-number core."""
+    x, y = quad_of(t1.theta), quad_of(t2.theta)
     for m in unimodular_ball(length):
-        if mobius_by_operators(m, t1.theta) == t2.theta:
+        if quad_equal(quad_mobius(_entries(m), x), y):
             return m
     return None
 
@@ -139,6 +220,32 @@ def squarefree_up_to(limit: int) -> list[int]:
             flags[m] = False
         k += 1
     return [d for d in range(2, limit + 1) if flags[d]]
+
+
+def perron_verdict(phi, v) -> Positivity:
+    """The sign of <w, v> for the left Perron vector w of a primitive phi,
+    exact at every rank, on sympy's polynomials: g(x), the first entry of
+    adj(xI - phi) v, is det(xI - phi) with its first column replaced by v
+    (Cramer), and g(lam) has the sign of <w, v> at the Perron root lam, the
+    largest real root of chi = det(xI - phi).  lam is a root of
+    gcd(g, chi) exactly when the pairing is zero; otherwise lam's
+    isolating interval is refined until it holds no root of g, and g has
+    one sign on it."""
+    if not any(v):
+        return Positivity.ZERO
+    x = Symbol("x")
+    chi = Poly(Matrix(phi).charpoly(x).as_expr(), x)
+    cramer = x * eye(len(phi)) - Matrix(phi)
+    cramer[:, 0] = Matrix(v)
+    first = DomainMatrix.from_Matrix(cramer)
+    g = Poly(first.domain.to_sympy(first.det()), x)
+    roots = chi.sqf_part()
+    (lo, hi), _ = max(roots.intervals(), key=lambda interval: interval[0][1])
+    if chi.gcd(g).count_roots(lo, hi):
+        return Positivity.UNDECIDED
+    while g.count_roots(lo, hi):
+        lo, hi = roots.refine_root(lo, hi, steps=1)
+    return Positivity.STRICTLY_POSITIVE if g.eval(lo) > 0 else Positivity.STRICTLY_NEGATIVE
 
 
 def iteration_verdict(

@@ -707,6 +707,21 @@ class TestMainExitCodes:
             assert (code, out) == (1, "")
             assert err == "twistlab: malformed JSON input: nested too deeply\n"
 
+    @pytest.mark.parametrize("verb", ["batch", "curve.j"])
+    def test_input_not_utf8_exits_one(self, tmp_path, capsys, verb):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        code, out, err = run_main([verb, "--in", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("twistlab: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    def test_domain_error_to_missing_folder_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_main(["curve.j", '{"A": "0", "B": "0"}', "--out", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("twistlab: [Errno 2] ") and err.count("\n") == 1
+        assert not path.parent.exists()
+
     def test_malformed_batch_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -32,7 +32,7 @@ from twistlab.dimgroup import (
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import apply_mobius
 
-from oracles import iteration_verdict
+from oracles import iteration_verdict, perron_verdict
 
 S = QuadraticSurd.normalize
 FIB = from_matrix([[1, 1], [1, 0]])
@@ -527,6 +527,29 @@ class TestExactPositivityAtEveryRank:
                 decided += 1
                 assert is_positive(g, e) is oracle, (g.phi, e.vector)
         assert decided > 300
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_exact_oracle(self, n):
+        # entries up to 10^20, and zero pairings: equal column sums make
+        # w = (1, ..., 1), so a vector summing to zero pairs to zero
+        rng = random.Random(67 + n)
+        zero_pairings = 0
+        for i in range(75):
+            if i % 3:
+                g = random_primitive(rng, n, rng.choice([3, 10**6, 10**20]))
+                v = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+            else:
+                g = constant_column_sums(rng, n)
+                head = [rng.randint(-5, 5) for _ in range(n - 1)]
+                v = (*head, -sum(head))
+            e = K0Element(0, v)
+            want = perron_verdict(g.phi, v)
+            assert is_positive(g, e) is want, (g.phi, v)
+            # the second route, where pushing alone decides
+            iterated = iteration_verdict(g, e, 64)
+            assert iterated is Positivity.UNDECIDED or iterated is want
+            zero_pairings += want is Positivity.UNDECIDED
+        assert zero_pairings == 25
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sign_of_entry_sum_when_columns_sum_alike(self, n):

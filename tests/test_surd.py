@@ -15,7 +15,7 @@ from twistlab.surd import (
     parse_surd,
 )
 
-from oracles import scan_surd
+from oracles import quad, quad_equal, quad_of, quad_sign, scan_surd
 
 S = QuadraticSurd.normalize
 
@@ -205,6 +205,14 @@ class TestOrder:
         assert x_hi < y_lo or y_hi < x_lo
         assert x.compare(y) == (-1 if x_hi < y_lo else 1)
         assert y.compare(x) == -x.compare(y)
+
+    @given(surds(), surds(), st.integers(1, 30))
+    def test_sign_and_equality_match_oracle_core(self, x, y, k):
+        # the oracles' quadratic numbers, y also written over k^2 * y.d
+        assert x.compare(S(0, 0, 1, 1)) == quad_sign(quad_of(x))
+        scaled = quad(y.p * k, y.q, y.r * k, y.d * k * k)
+        assert (x == y) == quad_equal(quad_of(x), scaled)
+        assert quad_equal(quad_of(y), scaled)
 
     @given(surds(), surds(), surds())
     def test_total_order_transitive(self, x, y, z):

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,8 @@ from oracles import (
     GENERATORS,
     brute_force_equivalent,
     mobius_by_operators,
+    quad_equal,
+    quad_of,
     squarefree_up_to,
     two_period_offsets,
     word_matrix,
@@ -91,7 +95,8 @@ class TestApplyMobius:
         if m.det != det:
             m = GEN_J @ m  # swaps the rows: same entries, the other determinant
         assert m.det == det and max(map(abs, (m.a, m.b, m.c, m.d))) > 10**33
-        assert apply_mobius(m, TorusParameter(theta)).theta == mobius_by_operators(m, theta)
+        got = apply_mobius(m, TorusParameter(theta)).theta
+        assert quad_equal(quad_of(got), mobius_by_operators(m, theta))
 
 
 class TestIsomorphic:
@@ -201,15 +206,18 @@ class TestOneExpansionPerParameter:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The first argument of each call of contfrac's walks and of
-        least_rotation, patched where contfrac defines them and where torus
-        imports them, so that a walk contfrac makes for itself counts too."""
-        walks = {name: [] for name in ("expand_surd", "_reduced_state", "_walk", "least_rotation")}
+        """One argument of each call of contfrac's walks and of
+        least_rotation: the surd a preperiod or an expansion starts from,
+        the radicand a cycle is walked over, the word rotated.  They are
+        patched where contfrac defines them and where torus imports them,
+        so that a walk contfrac makes for itself counts too."""
+        logged_arg = {"expand_surd": 0, "_reduced_state": 0, "_walk": 2, "least_rotation": 0}
+        walks = {name: [] for name in logged_arg}
         for name, log in walks.items():
             original = getattr(contfrac, name)
 
-            def logged(*args, _log=log, _original=original):
-                _log.append(args[0])
+            def logged(*args, _log=log, _original=original, _i=logged_arg[name]):
+                _log.append(args[_i])
                 return _original(*args)
 
             for module in (contfrac, torus):
@@ -218,27 +226,30 @@ class TestOneExpansionPerParameter:
         return walks
 
     @pytest.mark.parametrize(
-        "theta2,preperiods,walked",
+        "theta2,preperiods,cycles",
         [
             # same field: theta1's and theta2's preperiods, and theta1's
-            # period; theta2's first reduced quotient is theta1's, so no tail
+            # period; theta2's first reduced quotient is theta1's, so its
+            # cycle is read from the memo
             pytest.param("1+sqrt(100003)", ["sqrt(100003)", "1+sqrt(100003)"], 1,
                          id="1+sqrt(100003)"),
-            # theta2's quotient lies 171 steps before theta1's on its cycle
+            # theta2's quotient lies 171 steps before theta1's on its cycle:
+            # the cycle is walked and rotated again from that state
             pytest.param("(1+sqrt(100003))/2", ["sqrt(100003)", "(1+sqrt(100003))/2"], 2,
                          id="(1+sqrt(100003))/2"),
             # another field: theta2 is never walked, theta1 only for its invariant
             pytest.param("sqrt(7)", ["sqrt(100003)"], 1, id="sqrt(7)"),
         ],
     )
-    def test_morita_entry(self, walks, theta2, preperiods, walked):
+    def test_morita_entry(self, walks, theta2, preperiods, cycles):
         entry = {"id": 1, "verb": "torus.morita",
                  "args": {"theta1": "sqrt(100003)", "theta2": theta2}}
         assert run_batch([entry])[0]["status"] == "ok"
         # one preperiod walk per parameter, the one inside theta1's expansion included
         assert walks["_reduced_state"] == [parse_surd(t) for t in preperiods]
+        # each cycle walked is rotated once
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": len(preperiods),
-                                 "_walk": walked, "least_rotation": 1}
+                                 "_walk": cycles, "least_rotation": cycles}
 
     def test_other_field_over_budget_never_expands_theta2(self, walks):
         t1 = TorusParameter(QuadraticSurd.sqrt_of(2))
@@ -246,6 +257,15 @@ class TestOneExpansionPerParameter:
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
         assert "periodic" not in vars(t2) and "reduced" not in vars(t2)
+
+    def test_large_conductor_walks_over_theta1s_radicand(self, walks):
+        # theta2's first reduced quotient lies over 10^600 * 100003; rescaled
+        # to 100003 it is not integral, so no cycle is walked over its radicand
+        t1 = TorusParameter(parse_surd("sqrt(100003)"))
+        t2 = TorusParameter(parse_surd(f"{10**300}*sqrt(100003)"))
+        assert morita_equivalent(t1, t2) is None
+        assert t2.reduced[3] == 10**600 * 100003
+        assert walks["_walk"] and set(walks["_walk"]) == {100003}
 
     def test_invariant_entry(self, walks):
         entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
@@ -257,9 +277,10 @@ class TestOneExpansionPerParameter:
         assert morita_equivalent(t1, t2) is not None
         sl2_witness(t1, t2)
         morita_invariant(t2)
-        # theta1's cycle, theta2's tail for each witness, and theta2's cycle,
-        # which starts at another state of it; each cycle rotated once
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 4, "least_rotation": 2}
+        # theta1's cycle, and the cycle from theta2's first reduced quotient,
+        # another state of it; the second lookup and theta2's invariant
+        # read both from the memo
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 2, "least_rotation": 2}
 
     def test_invariants_of_one_cycle_walk_it_once(self, walks):
         # 1+sqrt(100003) enters the cycle of sqrt(100003) at the same state
@@ -296,12 +317,16 @@ def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
     common, read off the parameters' first reduced quotients."""
     if t1.theta.d != t2.theta.d:
         return "other field"
-    _, _, _, D1, M1 = t1.reduced
-    _, P2, Q2, _, M2 = t2.reduced
-    if (P2 * M1) % M2 or (Q2 * M1) % M2:
+    _, _, _, D1 = t1.reduced
+    _, P2, Q2, D2 = t2.reduced
+    M = Fraction(isqrt(D1 * D2), D2)  # M1/M2 for D_i = M_i^2 * d
+    if (P2 * M).denominator > 1 or (Q2 * M).denominator > 1:
         return "not integral over D1"
-    P, Q = P2 * M1 // M2, Q2 * M1 // M2
-    return "Q does not divide D1 - P^2" if (D1 - P * P) % Q else "walk exhausted"
+    P, Q = int(P2 * M), int(Q2 * M)
+    if (D1 - P * P) % Q:
+        return "Q does not divide D1 - P^2"
+    L = len(t1.expansion.period)
+    return "cycle longer than L" if contfrac._cycle(P, Q, D1, L) is None else "other cycle"
 
 
 class TestAgainstTwoPeriods:
@@ -345,7 +370,7 @@ class TestAgainstTwoPeriods:
             branches[key] = branches.get(key, 0) + 1
         assert set(branches) == {
             "equivalent", "other field", "not integral over D1",
-            "Q does not divide D1 - P^2", "walk exhausted",
+            "Q does not divide D1 - P^2", "cycle longer than L", "other cycle",
         }, branches
 
 
