@@ -29,11 +29,7 @@ def clipped(text: str) -> str:
 
 
 class SurdError(ValueError):
-    """Base for domain errors in quadratic-surd arithmetic."""
-
-
-class IncompatibleFieldsError(SurdError):
-    """Binary operation on surds from distinct quadratic fields."""
+    """Base for domain errors in quadratic surds."""
 
 
 class SurdParseError(SurdError):

@@ -1,9 +1,12 @@
-"""Exact arithmetic in real quadratic fields.
+"""Canonical values in real quadratic fields, and their text literals.
 
 A value is stored as (p + q*sqrt(d)) / r with integer p, q, positive
 integer r, and squarefree d >= 1.  Rationals are embedded with q = 0,
-d = 1.  The canonical form is unique, so tuple equality is equality of
-real numbers.  Everything here is big-integer exact; no floats.
+d = 1.  The canonical form is unique, so equality of values (by class
+and fields, as for every twistlab value type) is equality of real
+numbers.  There is no field arithmetic here: the other layers compute
+on integers (continued-fraction states, matrix entries) and build a
+surd only for the answer.  Everything is big-integer exact; no floats.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ._value import Value
-from .errors import IncompatibleFieldsError, SurdError, SurdParseError, digit_limit_text
+from .errors import SurdError, SurdParseError, digit_limit_text
 
 
 _TRIAL_BOUND = 10_000
@@ -83,36 +86,6 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
     return s, sf
 
 
-def _sign2(a: int, b: int, k: int) -> int:
-    """Sign of a + b*sqrt(k), k >= 1; squaring only when sign-safe."""
-    if b == 0 or k == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if (a > 0) == (b > 0):
-        return 1 if a > 0 else -1
-    lhs, rhs = a * a, b * b * k
-    if lhs == rhs:
-        return 0
-    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
-
-
-def _sign3(u: int, v: int, m: int, w: int, n: int) -> int:
-    """Sign of u + v*sqrt(m) + w*sqrt(n) for distinct squarefree
-    m, n >= 2, the only case compare() leaves to it."""
-    # sign of the radical part v*sqrt(m) + w*sqrt(n): times sqrt(m), v*m + w*sqrt(mn)
-    rad = _sign2(v * m, w, m * n)
-    if rad == 0:
-        return (u > 0) - (u < 0)
-    if u == 0 or (u > 0) == (rad > 0):
-        return rad
-    # |u|^2 - (v*sqrt(m) + w*sqrt(n))^2 = (u^2 - v^2 m - w^2 n) - 2vw*sqrt(mn)
-    diff = _sign2(u * u - v * v * m - w * w * n, -2 * v * w, m * n)
-    if diff == 0:
-        return 0
-    return (1 if u > 0 else -1) if diff > 0 else rad
-
-
 class QuadraticSurd(Value):
     """Canonical (p + q*sqrt(d))/r.  Construct via normalize()."""
 
@@ -146,26 +119,15 @@ class QuadraticSurd(Value):
     @staticmethod
     def _reduced(p: int, q: int, r: int, d: int) -> "QuadraticSurd":
         """Canonical form of (p + q*sqrt(d))/r for a squarefree d >= 1
-        and r != 0.  Arithmetic results stay in their operands' field, so
-        they come here directly and never factor d again."""
+        and r != 0.  A caller that already holds a squarefree radicand
+        (torus.apply_mobius keeps its parameter's) comes here directly
+        and never factors d again."""
         if d == 1:
             p, q = p + q, 0
         if r < 0:
             p, q, r = -p, -q, -r
         g = gcd(gcd(p, q), r)
-        if g == 0:
-            # p = q = 0: canonical zero
-            return QuadraticSurd(0, 0, 1, 1)
         return QuadraticSurd(p // g, q // g, r // g, d if q else 1)
-
-    @staticmethod
-    def from_rational(x) -> "QuadraticSurd":
-        f = Fraction(x)
-        return QuadraticSurd._reduced(f.numerator, 0, f.denominator, 1)
-
-    @staticmethod
-    def sqrt_of(d: int) -> "QuadraticSurd":
-        return QuadraticSurd.normalize(0, 1, 1, d)
 
     # -- predicates ---------------------------------------------------
 
@@ -173,159 +135,10 @@ class QuadraticSurd(Value):
     def is_rational(self) -> bool:
         return self.q == 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
             raise SurdError("irrational surd has no rational value")
         return Fraction(self.p, self.r)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerced(self, other) -> "QuadraticSurd":
-        if isinstance(other, QuadraticSurd):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticSurd.from_rational(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _common_d(self, other: "QuadraticSurd") -> int:
-        if self.q == 0:
-            return other.d
-        if other.q == 0 or self.d == other.d:
-            return self.d
-        raise IncompatibleFieldsError(
-            f"incompatible fields sqrt({self.d}) and sqrt({other.d})"
-        )
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._common_d(o)
-        return QuadraticSurd._reduced(
-            self.p * o.r + o.p * self.r,
-            self.q * o.r + o.q * self.r,
-            self.r * o.r,
-            d,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticSurd._reduced(-self.p, -self.q, self.r, self.d)
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._common_d(o)
-        return QuadraticSurd._reduced(
-            self.p * o.p + self.q * o.q * d,
-            self.p * o.q + self.q * o.p,
-            self.r * o.r,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "QuadraticSurd":
-        if self.is_zero:
-            raise ZeroDivisionError("surd division by zero")
-        # 1/((p + q*sqrt(d))/r) = r*(p - q*sqrt(d)) / (p^2 - q^2 d)
-        norm = self.p * self.p - self.q * self.q * self.d
-        return QuadraticSurd._reduced(
-            self.r * self.p, -self.r * self.q, norm, self.d
-        )
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        self._common_d(o)  # fail early with the field error, not div-by-zero
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
-
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd._reduced(self.p, -self.q, self.r, self.d)
-
-    # -- order --------------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of the real value, in {-1, 0, 1}."""
-        return _sign2(self.p, self.q, self.d)
-
-    def compare(self, other) -> int:
-        """Exact total order; works across distinct quadratic fields."""
-        o = self._coerced(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot order a QuadraticSurd and a {type(other).__name__}")
-        if self.q == 0 or o.q == 0 or self.d == o.d:
-            d = self.d if self.q else o.d
-            return _sign2(
-                self.p * o.r - o.p * self.r,
-                self.q * o.r - o.q * self.r,
-                d,
-            )
-        # mixed fields: sign of u + v*sqrt(m) - w*sqrt(n) over r1*r2 > 0
-        return _sign3(
-            self.p * o.r - o.p * self.r,
-            self.q * o.r,
-            self.d,
-            -o.q * self.r,
-            o.d,
-        )
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd.from_rational(other)
-        if not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
-
-    def __hash__(self):
-        # equal to a rational value, so hashed as that Fraction
-        if not self.q:
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.r, self.d))
-
-    def floor(self) -> int:
-        # floor((p + x)/r) = floor((p + floor(x))/r) for r > 0, and
-        # x = q*sqrt(d) = +-sqrt(m) takes its exact floor from isqrt(m)
-        m = self.q * self.q * self.d
-        root = isqrt(m)
-        if self.q >= 0:
-            f = root
-        else:
-            f = -root if root * root == m else -(root + 1)
-        return (self.p + f) // self.r
-
-    __floor__ = floor
 
     # -- display ------------------------------------------------------
 

@@ -85,7 +85,7 @@ CRITERION2_SURDS = random_irrational_surds(200, seed=20260823)
 def test_criterion_1_cf_round_trip_squarefree_radicands():
     start = time.monotonic()
     for d in squarefree_up_to(1000):
-        x = QuadraticSurd.sqrt_of(d)
+        x = S(0, 1, 1, d)
         cf = expand_surd(x)
         assert value_of(cf) == x, d
         n = len(cf.period)
@@ -119,8 +119,8 @@ def test_criterion_3_convergent_determinant_identity():
 def test_criterion_4_morita_invariance_under_unimodular_words():
     rng = random.Random(41)
     bases = [
-        TorusParameter(QuadraticSurd.sqrt_of(2)),
-        TorusParameter(QuadraticSurd.sqrt_of(3)),
+        TorusParameter(S(0, 1, 1, 2)),
+        TorusParameter(S(0, 1, 1, 3)),
         TorusParameter(S(1, 1, 2, 5)),
     ]
     violations = 0
@@ -138,10 +138,10 @@ def test_criterion_4_morita_invariance_under_unimodular_words():
 def test_criterion_5_witness_soundness_and_brute_force_agreement():
     rng = random.Random(5)
     bases = [
-        QuadraticSurd.sqrt_of(2),
-        QuadraticSurd.sqrt_of(3),
+        S(0, 1, 1, 2),
+        S(0, 1, 1, 3),
         S(1, 1, 2, 5),
-        QuadraticSurd.sqrt_of(7),
+        S(0, 1, 1, 7),
     ]
     panel = []
     for base in bases:
@@ -171,7 +171,7 @@ def test_criterion_5_witness_soundness_and_brute_force_agreement():
 
 
 def test_criterion_6_isomorphism_vs_morita_dichotomy():
-    t1 = TorusParameter(QuadraticSurd.sqrt_of(2))
+    t1 = TorusParameter(S(0, 1, 1, 2))
     t2 = TorusParameter(S(1, 1, 1, 2))
     ok = (not isomorphic(t1, t2)) and morita_equivalent(t1, t2) is not None
     report(6, ok, "sqrt(2) and 1+sqrt(2): not isomorphic, Morita equivalent")

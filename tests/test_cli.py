@@ -555,7 +555,7 @@ class TestUnprintableResults:
     def requests(self):
         # the period of sqrt(1000000007) has 12352 terms; the entries of its
         # phi have about 6400 digits, as does a0 of 10^6447
-        period = list(expand_surd(QuadraticSurd.sqrt_of(1000000007)).period)
+        period = list(expand_surd(QuadraticSurd.normalize(0, 1, 1, 1000000007)).period)
         return [
             {"id": "phi", "verb": "dimgroup.from-period", "args": {"period": period}},
             {"id": "a0", "verb": "cf.expand", "args": {"theta": f"{TEN_4298}*sqrt({TEN_4298})"}},

@@ -44,7 +44,7 @@ def no_factorint(monkeypatch):
 
 @pytest.mark.parametrize("d", sorted(PERIOD_LENGTHS))
 def test_value_of_round_trips_without_factorint(no_factorint, d):
-    x = QuadraticSurd.sqrt_of(d)
+    x = QuadraticSurd.normalize(0, 1, 1, d)
     cf = expand_surd(x)
     assert len(cf.period) == PERIOD_LENGTHS[d]
     assert value_of(cf) == x
@@ -52,7 +52,7 @@ def test_value_of_round_trips_without_factorint(no_factorint, d):
 
 @pytest.mark.parametrize("d", sorted(PERIOD_LENGTHS))
 def test_period_group_without_factorint(no_factorint, d):
-    period = expand_surd(QuadraticSurd.sqrt_of(d)).period
+    period = expand_surd(QuadraticSurd.normalize(0, 1, 1, d)).period
     g = from_cf_period(period)
     slope = rank2_slope(g)
     assert slope.d == d
@@ -83,7 +83,7 @@ def test_sampled_round_trips_below_one_million(no_factorint):
 
 
 def test_value_of_long_period_gate():
-    cf = expand_surd(QuadraticSurd.sqrt_of(100003))
+    cf = expand_surd(QuadraticSurd.normalize(0, 1, 1, 100003))
     start = time.perf_counter()
     value_of(cf)
     assert time.perf_counter() - start < 1.0
@@ -92,7 +92,7 @@ def test_value_of_long_period_gate():
 def test_huge_rough_radicand_raises(no_factorint):
     start = time.perf_counter()
     with pytest.raises(SurdError, match="too large to certify squarefree"):
-        QuadraticSurd.sqrt_of(SEMIPRIME_128)
+        QuadraticSurd.normalize(0, 1, 1, SEMIPRIME_128)
     assert time.perf_counter() - start < 1.0
 
 

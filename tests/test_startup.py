@@ -108,7 +108,7 @@ def test_public_names_unchanged():
 
 
 @pytest.mark.parametrize("layer,names", [
-    ("surd", ("SurdError", "IncompatibleFieldsError", "SurdParseError")),
+    ("surd", ("SurdError", "SurdParseError")),
     ("contfrac", ("CFError", "NotPrimitiveError")),
     ("torus", ("TorusError",)),
     ("dimgroup", ("DimGroupError", "NotPrimitiveMatrixError", "SingularMatrixError",

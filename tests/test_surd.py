@@ -1,13 +1,10 @@
 
 import random
-from fractions import Fraction
-from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistlab.surd import (
-    IncompatibleFieldsError,
     QuadraticSurd,
     SurdError,
     SurdParseError,
@@ -15,7 +12,7 @@ from twistlab.surd import (
     parse_surd,
 )
 
-from oracles import quad, quad_equal, quad_of, quad_sign, scan_surd
+from oracles import quad, quad_equal, quad_of, scan_surd
 
 S = QuadraticSurd.normalize
 
@@ -33,29 +30,6 @@ def surds(max_coeff=50, radicands=(1, 2, 3, 5, 6, 7, 10)):
         st.integers(1, max_coeff),
         st.sampled_from(radicands),
     )
-
-
-def surds_in(d, max_coeff=30):
-    return st.builds(
-        S,
-        st.integers(-max_coeff, max_coeff),
-        st.integers(-max_coeff, max_coeff),
-        st.integers(1, max_coeff),
-        st.just(d),
-    )
-
-
-SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 30, 1003)
-CROSS_FIELDS = [(m, n) for m in SQUAREFREE for n in SQUAREFREE if m != n]
-
-
-def bracket(x, digits=60):
-    """Rationals lo < x < hi, 10^-digits/r apart, from an integer square
-    root of q^2*d scaled by 10^(2*digits)."""
-    scale = 10**digits
-    s = isqrt(x.q * x.q * x.d * scale * scale)
-    lo, hi = (s, s + 1) if x.q > 0 else (-s - 1, -s)
-    return Fraction(x.p * scale + lo, x.r * scale), Fraction(x.p * scale + hi, x.r * scale)
 
 
 class TestNormalize:
@@ -93,7 +67,7 @@ class TestNormalize:
         # takes it
         monkeypatch.setattr("sympy.factorint", refuse)
         assert parse_surd("sqrt(200280098)") == parse_surd("10007*sqrt(2)")
-        assert format_surd(QuadraticSurd.sqrt_of(200280098)) == "10007*sqrt(2)"
+        assert format_surd(S(0, 1, 1, 200280098)) == "10007*sqrt(2)"
 
     @pytest.mark.parametrize("d, want", [
         (1000000007, (0, 1, 1, 1000000007)),  # a prime
@@ -106,151 +80,20 @@ class TestNormalize:
         # cofactor; at most two prime factors are left, so a perfect-square
         # check settles it without sympy
         monkeypatch.setattr("sympy.factorint", refuse)
-        assert QuadraticSurd.sqrt_of(d) == QuadraticSurd(*want)
+        assert S(0, 1, 1, d) == QuadraticSurd(*want)
 
     @given(surds())
     def test_idempotent(self, x):
         assert S(x.p, x.q, x.r, x.d) == x
 
-
-class TestArithmetic:
-    def test_conjugate_product(self):
-        # (1 + sqrt 2)(-1 + sqrt 2) = 1
-        assert S(1, 1, 1, 2) * S(-1, 1, 1, 2) == 1
-
-    def test_invert_rationalizes(self):
-        assert QuadraticSurd.sqrt_of(2).invert() == S(0, 1, 2, 2)
-
-    def test_conjugate_sum(self):
-        assert S(1, 1, 2, 5) + S(1, -1, 2, 5) == 1
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(IncompatibleFieldsError):
-            QuadraticSurd.sqrt_of(2) + QuadraticSurd.sqrt_of(3)
-        with pytest.raises(IncompatibleFieldsError):
-            QuadraticSurd.sqrt_of(2) / QuadraticSurd.sqrt_of(3)
-
-    def test_rational_mixes_with_any_field(self):
-        assert QuadraticSurd.sqrt_of(2) + 1 == S(1, 1, 1, 2)
-        assert S(3, 0, 1, 1) * QuadraticSurd.sqrt_of(5) == S(0, 3, 1, 5)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadraticSurd.sqrt_of(2) / S(0, 0, 1, 1)
-
-    def test_arithmetic_never_refactors_its_field(self, monkeypatch):
-        # 10^12 + 39 is prime and above the trial-division cube, so
-        # building sqrt of it certifies it once with sympy.factorint
-        x = QuadraticSurd.sqrt_of(1000000000039)
-        calls = []
-
-        def counting(n, *args, **kwargs):
-            calls.append(n)
-            return {n: 1}
-
-        monkeypatch.setattr("sympy.factorint", counting)
-        got = (x + 1) * x / (x + 2)
-        assert calls == []
-        assert got * (x + 2) == (x + 1) * x
-        assert (-got).conjugate() == -(got.conjugate())
-
-    @given(surds_in(2), surds_in(2), surds_in(2))
-    def test_field_axioms(self, x, y, z):
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-
-    @given(surds_in(5), surds_in(5), surds_in(5))
-    def test_field_axioms_sqrt5(self, x, y, z):
-        assert (x + y) * z == x * z + y * z
-
-    @given(surds())
-    def test_additive_and_multiplicative_inverses(self, x):
-        assert x + (-x) == 0
-        if not x.is_zero:
-            assert x * x.invert() == 1
-
-    @given(surds(), surds())
-    def test_conjugate_is_ring_homomorphism(self, x, y):
-        assert x.conjugate().conjugate() == x
-        if x.d == y.d or x.is_rational or y.is_rational:
-            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-
-
-class TestOrder:
-    def test_golden_ratio_vs_three_halves(self):
-        assert S(1, 1, 2, 5).compare(S(3, 0, 2, 1)) > 0
-
-    def test_equal(self):
-        assert QuadraticSurd.sqrt_of(2).compare(QuadraticSurd.sqrt_of(2)) == 0
-
-    def test_negative_vs_zero(self):
-        assert S(0, -1, 1, 2).compare(S(0, 0, 1, 1)) < 0
-
-    @given(surds(), surds())
-    def test_canonical_equality_matches_compare(self, x, y):
-        assert (x == y) == (x.compare(y) == 0)
-
-    @given(st.data())
-    def test_cross_field_order_matches_decimal_brackets(self, data):
-        m, n = data.draw(st.sampled_from(CROSS_FIELDS))
-        x, y = (data.draw(surds_in(d, 10**4).filter(lambda s: not s.is_rational)) for d in (m, n))
-        x_lo, x_hi = bracket(x)
-        y_lo, y_hi = bracket(y)
-        # distinct fields never give equal values, and these are far
-        # more than 10^-60 apart, so one bracket lies below the other
-        assert x_hi < y_lo or y_hi < x_lo
-        assert x.compare(y) == (-1 if x_hi < y_lo else 1)
-        assert y.compare(x) == -x.compare(y)
-
     @given(surds(), surds(), st.integers(1, 30))
-    def test_sign_and_equality_match_oracle_core(self, x, y, k):
-        # the oracles' quadratic numbers, y also written over k^2 * y.d
-        assert x.compare(S(0, 0, 1, 1)) == quad_sign(quad_of(x))
+    def test_equality_matches_oracle_core(self, x, y, k):
+        # the canonical form is unique, so surds are equal exactly when
+        # their real values are, as the oracle core decides; y is also
+        # written over k^2 * y.d
         scaled = quad(y.p * k, y.q, y.r * k, y.d * k * k)
         assert (x == y) == quad_equal(quad_of(x), scaled)
         assert quad_equal(quad_of(y), scaled)
-
-    @given(surds(), surds(), surds())
-    def test_total_order_transitive(self, x, y, z):
-        if x <= y and y <= z:
-            assert x <= z
-
-
-class TestFloor:
-    def test_sqrt2(self):
-        assert QuadraticSurd.sqrt_of(2).floor() == 1
-
-    def test_golden_ratio(self):
-        assert S(1, 1, 2, 5).floor() == 1
-
-    def test_negative_irrational(self):
-        assert S(0, -1, 1, 2).floor() == -2
-
-    def test_rational(self):
-        assert S(-7, 0, 3, 1).floor() == -3
-
-    # built directly, so d = k^2 stays square; floor must still be exact
-    @given(st.integers(-60, 60), st.integers(-60, 60).filter(bool), st.integers(1, 60),
-           st.integers(2, 40))
-    @example(0, 1, 1, 2)
-    @example(0, -1, 1, 2)
-    @example(1, -1, 2, 3)
-    @example(3, -2, 5, 2)
-    @example(-7, 3, 3, 5)
-    @example(5, -1, 2, 7)
-    def test_square_radicand(self, p, q, r, k):
-        assume(gcd(gcd(p, q), r) == 1)
-        assert QuadraticSurd(p, q, r, k * k).floor() == floor(Fraction(p + q * k, r))
-
-    @given(surds())
-    def test_floor_brackets_value(self, x):
-        n = x.floor()
-        assert x.compare(S(n, 0, 1, 1)) >= 0
-        assert x.compare(S(n + 1, 0, 1, 1)) < 0
 
 
 class TestLiterals:

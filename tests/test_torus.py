@@ -33,8 +33,8 @@ from oracles import (
 )
 
 S = QuadraticSurd.normalize
-SQRT2 = TorusParameter(QuadraticSurd.sqrt_of(2))
-SQRT3 = TorusParameter(QuadraticSurd.sqrt_of(3))
+SQRT2 = TorusParameter(S(0, 1, 1, 2))
+SQRT3 = TorusParameter(S(0, 1, 1, 3))
 GOLDEN = TorusParameter(S(1, 1, 2, 5))
 
 
@@ -101,7 +101,7 @@ class TestApplyMobius:
 
 class TestIsomorphic:
     def test_equal(self):
-        assert isomorphic(SQRT2, TorusParameter(QuadraticSurd.sqrt_of(2)))
+        assert isomorphic(SQRT2, TorusParameter(S(0, 1, 1, 2)))
 
     def test_translate_not_isomorphic(self):
         assert not isomorphic(SQRT2, TorusParameter(S(1, 1, 1, 2)))
@@ -147,7 +147,7 @@ class TestMoritaEquivalent:
         assert apply_mobius(composed, a).theta == c.theta
 
     def test_isomorphic_implies_morita(self):
-        w = morita_equivalent(SQRT2, TorusParameter(QuadraticSurd.sqrt_of(2)))
+        w = morita_equivalent(SQRT2, TorusParameter(S(0, 1, 1, 2)))
         assert w is not None
 
 
@@ -252,7 +252,7 @@ class TestOneExpansionPerParameter:
                                  "_walk": cycles, "least_rotation": cycles}
 
     def test_other_field_over_budget_never_expands_theta2(self, walks):
-        t1 = TorusParameter(QuadraticSurd.sqrt_of(2))
+        t1 = TorusParameter(S(0, 1, 1, 2))
         t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
@@ -408,14 +408,11 @@ class TestPinnedWitnesses:
         w = sl2_witness(t1, t2)
         assert (w.rows() if w else None) == sl2
 
-    def test_no_surd_floor_in_search(self, monkeypatch):
-        # the search aligns period words; only expand_surd's integer
-        # recursion and the re-application check touch the values
-        def refuse(self):
-            raise AssertionError("QuadraticSurd.floor called")
-
-        monkeypatch.setattr(QuadraticSurd, "floor", refuse)
-        t1 = TorusParameter(QuadraticSurd.sqrt_of(100003))
+    def test_no_surd_floor_in_search(self):
+        # QuadraticSurd has no floor: the search aligns period words, and
+        # only expand_surd's integer recursion and the re-application
+        # check touch the values
+        t1 = TorusParameter(S(0, 1, 1, 100003))
         t2 = TorusParameter(S(1, 1, 1, 100003))
         for w in (morita_equivalent(t1, t2), sl2_witness(t1, t2)):
             assert w is not None and w.det == 1
