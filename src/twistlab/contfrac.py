@@ -113,12 +113,6 @@ class FiniteCF(Value):
             raise CFError("canonical finite form forbids a trailing 1")
         object.__setattr__(self, "terms", terms)
 
-    def __str__(self):
-        if len(self.terms) == 1:
-            return f"[{self.terms[0]}]"
-        rest = ", ".join(map(str, self.terms[1:]))
-        return f"[{self.terms[0]}; {rest}]"
-
 
 class EventuallyPeriodicCF(Value):
     """[a0, ..., ak; (b1, ..., bn)] with primitive period and minimal
@@ -145,11 +139,6 @@ class EventuallyPeriodicCF(Value):
         yield from self.preperiod
         while True:
             yield from self.period
-
-    def __str__(self):
-        pre = ", ".join(map(str, self.preperiod))
-        per = ", ".join(map(str, self.period))
-        return f"[{pre}; ({per})]" if pre else f"[; ({per})]"
 
 
 AnyCF = Union[FiniteCF, EventuallyPeriodicCF]
@@ -230,71 +219,96 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     return _periodic(_reduced_state(x))[0]
 
 
-def _periodic(
-    reduced: tuple[tuple[int, ...], int, int, int],
-) -> tuple[EventuallyPeriodicCF, int]:
-    """The expansion of the surd whose _reduced_state is reduced, and the
-    least-rotation offset of its period, the cycle through its first
-    reduced state."""
+def _periodic(reduced: tuple) -> tuple[EventuallyPeriodicCF, _Cycle]:
+    """The expansion of the surd whose _reduced_state (preperiod, P, Q, D)
+    is reduced, and the cycle through its first reduced state."""
     preperiod, P, Q, D = reduced
     budget = _term_budget(D)
     found = _cycle(P, Q, D, budget - len(preperiod))
     if found is None:
         raise CFError(f"expansion longer than the budget of {budget} terms")
-    return EventuallyPeriodicCF(preperiod, found[0]), found[1]
+    return EventuallyPeriodicCF(preperiod, found.period), found
 
 
-# Most machine words the cycle memo holds.  A cycle's k ints (its terms,
-# P, Q and D) of b bits in all count k + b // 64 words, at least the words
-# they hold, and the cycle _CYCLE_WORDS more for its tuples, its dict slot
-# and its ints' headers.  A pass of the tails benchmark holds about 10^4
-# words, and of verbs-mixed about 4.6 * 10^4; a period of more than about
-# 6.5 * 10^4 terms (sqrt(d) for some d past 10^9) is answered but never
-# kept.
+class _Cycle:
+    """The period walked from a reduced state, and its least-rotation
+    offset, found the first time it is read: the torus verbs read it,
+    cf.expand never does."""
+
+    __slots__ = ("period", "_offset")
+
+    def __init__(self, period: tuple[int, ...]):
+        self.period = period
+        self._offset: Optional[int] = None
+
+    @property
+    def offset(self) -> int:
+        if self._offset is None:  # two threads may both rotate; they agree
+            self._offset = least_rotation(self.period)
+        return self._offset
+
+
+# Most machine words the cycle memo holds.  A record's k ints (a cycle's
+# terms or a passed cap, and P, Q and D) of b bits in all count k + b // 64
+# words, at least the words they hold, and the record _CYCLE_WORDS more
+# for its objects, its dict slot and its ints' headers.  A pass of the
+# tails benchmark holds about 10^4 words, and of verbs-mixed about
+# 4.6 * 10^4; a period of more than about 6.5 * 10^4 terms (sqrt(d) for
+# some d past 10^9) is answered but never kept.
 CYCLE_MEMO_WORDS = 1 << 16
-# tracemalloc found 34-36 words a cycle besides its ints' words in memos
-# of one-term cycles (CPython 3.11)
+# tracemalloc found 33-40 words a cycle besides its ints' words, the
+# dict's spare slots included, in memos of 3000-6000 one-term cycles with
+# their offsets read, and 23 words a passed cap (CPython 3.11)
 _CYCLE_WORDS = 40
 
-# (P, Q, D) of a reduced state -> (period, least-rotation offset) of the
-# walk from it.  A cycle is kept under the state its walk started from, so
-# a cycle entered at several of its states is kept once for each.
-_cycles: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
+# (P, Q, D) of a reduced state -> the _Cycle walked from it, or the
+# longest cap a walk from it passed without coming back.  A cycle is kept
+# under the state its walk started from, so a cycle entered at several of
+# its states is kept once for each.
+_cycles: dict[tuple[int, int, int], Union[_Cycle, int]] = {}
 _cycle_words = 0
 _cycle_lock = Lock()
 
 
-def _cycle(P: int, Q: int, D: int, cap: int) -> Optional[tuple[tuple[int, ...], int]]:
-    """(period, offset): the walk from the reduced state (P, Q) over D back
-    to itself and its least rotation's offset, or None when the period is
-    longer than cap terms.  Both depend on the state alone, so they are
-    walked and rotated once and read from the memo while it keeps them.
-    When keeping a cycle would pass CYCLE_MEMO_WORDS, the memo is emptied
-    first; a cycle heavier than that on its own is never kept."""
-    found = _cycles.get((P, Q, D))
-    if found is None:
+def _cycle(P: int, Q: int, D: int, cap: int) -> Optional[_Cycle]:
+    """The cycle walked from the reduced state (P, Q) over D back to
+    itself, or None when its period is longer than cap terms.  It depends
+    on the state alone, so it is walked once and then read from the memo
+    while the memo keeps it; so is a walk that passed its cap, which
+    answers None at once to any cap no larger.  When keeping a record
+    would pass CYCLE_MEMO_WORDS, the memo is emptied first; a record
+    heavier than that on its own is never kept."""
+    state = P, Q, D
+    found = _cycles.get(state)
+    if found is None or isinstance(found, int) and found < cap:
         period = _walk(P, Q, D, cap)
-        if period is None:
-            return None
-        found = period, least_rotation(period)
-        _keep((P, Q, D), found)
-    return found if len(found[0]) <= cap else None
+        found = cap if period is None else _Cycle(period)
+        _keep(state, found)
+    return None if isinstance(found, int) or len(found.period) > cap else found
 
 
-def _keep(state: tuple[int, int, int], cycle: tuple[tuple[int, ...], int]) -> None:
+def _words(state: tuple[int, int, int], record: Union[_Cycle, int]) -> int:
+    ints = (record,) if isinstance(record, int) else record.period
+    bits = sum(map(int.bit_length, ints)) + sum(map(int.bit_length, state))
+    return _CYCLE_WORDS + len(ints) + 3 + bits // 64
+
+
+def _keep(state: tuple[int, int, int], record: Union[_Cycle, int]) -> None:
+    """Keep a cycle, or a passed cap, in place of a smaller passed cap."""
     global _cycle_words
-    period = cycle[0]
-    bits = sum(map(int.bit_length, period)) + sum(map(int.bit_length, state))
-    words = _CYCLE_WORDS + len(period) + 3 + bits // 64
+    words = _words(state, record)
     if words > CYCLE_MEMO_WORDS:
         return
     with _cycle_lock:  # another thread may keep or clear between the lookup and here
-        if state in _cycles:
-            return
+        held = _cycles.get(state)
+        if held is not None:
+            if not isinstance(held, int) or isinstance(record, int) and record <= held:
+                return
+            _cycle_words -= _words(state, held)
         if _cycle_words + words > CYCLE_MEMO_WORDS:
             _cycles.clear()
             _cycle_words = 0
-        _cycles[state] = cycle
+        _cycles[state] = record
         _cycle_words += words
 
 

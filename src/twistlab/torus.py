@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Optional
 
 from ._value import Value
-from .contfrac import EventuallyPeriodicCF, _cycle, _periodic, _reduced_state, _transfer
+from .contfrac import EventuallyPeriodicCF, _Cycle, _cycle, _periodic, _reduced_state, _transfer
 from .errors import TorusError
 from .surd import QuadraticSurd
 
@@ -30,11 +30,12 @@ class TorusParameter(Value):
     # cached_property writes the instance __dict__ directly, past the
     # refused assignment: each parameter's preperiod is walked at most
     # once, however many verbs ask.  Its period comes from contfrac's cycle
-    # memo, walked and rotated once for all the parameters that enter the
-    # cycle at the same state, while the memo keeps it.
+    # memo, walked once for all the parameters that enter the cycle at the
+    # same state, and rotated when a verb first reads the offset, while the
+    # memo keeps it.
     @cached_property
-    def periodic(self) -> tuple[EventuallyPeriodicCF, int]:
-        """theta's expansion and the least-rotation offset of its period."""
+    def periodic(self) -> tuple[EventuallyPeriodicCF, _Cycle]:
+        """theta's expansion and the cycle of its period."""
         return _periodic(self.reduced)
 
     @property
@@ -44,7 +45,7 @@ class TorusParameter(Value):
     @property
     def rotation(self) -> int:
         """Least-rotation offset of the (primitive) period."""
-        return self.periodic[1]
+        return self.periodic[1].offset
 
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -73,22 +74,6 @@ class UnimodularWitness(Value):
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
-
-    def inverse(self) -> "UnimodularWitness":
-        s = self.det  # adjugate over det; det^2 = 1 keeps entries integral
-        return UnimodularWitness(s * self.d, -s * self.b, -s * self.c, s * self.a)
-
-    def __matmul__(self, other: "UnimodularWitness") -> "UnimodularWitness":
-        return UnimodularWitness(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    @staticmethod
-    def identity() -> "UnimodularWitness":
-        return UnimodularWitness(1, 0, 0, 1)
 
 
 def apply_mobius(m: UnimodularWitness, t: TorusParameter) -> TorusParameter:
@@ -151,7 +136,7 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     found = _cycle(P, Q, D1, len(p1))
     if found is None:
         return None
-    p2, k2 = found
+    p2, k2 = found.period, found.offset
     if p2[k2:] + p2[:k2] != morita_invariant(t1):
         return None
     return pre1, pre2 + p2[:(k2 - k1) % len(p1)], p1

@@ -5,8 +5,11 @@ Mobius images and the breadth-first search over unimodular words run on
 a quadratic-number core of plain integer tuples (a + b*sqrt(D))/c that
 uses no twistlab arithmetic: naive floor-and-invert, the image times its
 denominator's conjugate, and equality of rational and irrational parts.
-Morita offsets come from both whole periods, each cut at its first
-repeated state, and their least rotations by brute force.  Positivity
+Unimodular words and the word matrices M(w) are 2x2 integer products on
+row-major 4-tuples, inverted by the adjugate; a tuple becomes a
+UnimodularWitness only where a test hands it to the library.  Morita
+offsets come from both whole periods, each cut at its first repeated
+state, and their least rotations by brute force.  Positivity
 is capped iteration, or exact at every rank from sympy's polynomials
 (perron_verdict).  Curve identities are Fraction arithmetic on A and B
 with integer roots by bisection, and surd literals are read one
@@ -27,13 +30,39 @@ from twistlab.errors import SurdParseError, digit_limit_text
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import TorusParameter, UnimodularWitness
 
-# generators of the unimodular group: translation, its inverse,
+# generators of the unimodular group, as row-major integer 4-tuples
+# (a, b, c, d) for [[a, b], [c, d]]: translation, its inverse,
 # inversion-rotation, and a determinant -1 swap
-GEN_T = UnimodularWitness(1, 1, 0, 1)
-GEN_TI = UnimodularWitness(1, -1, 0, 1)
-GEN_S = UnimodularWitness(0, -1, 1, 0)
-GEN_J = UnimodularWitness(0, 1, 1, 0)
+GEN_T = (1, 1, 0, 1)
+GEN_TI = (1, -1, 0, 1)
+GEN_S = (0, -1, 1, 0)
+GEN_J = (0, 1, 1, 0)
 GENERATORS = (GEN_T, GEN_TI, GEN_S, GEN_J)
+IDENTITY = (1, 0, 0, 1)
+
+
+# -- 2x2 integer matrices, row-major 4-tuples ----------------------------
+
+
+def mat_mul(m: tuple, n: tuple) -> tuple[int, int, int, int]:
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def mat_det(m: tuple) -> int:
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def mat_inverse(m: tuple) -> tuple[int, int, int, int]:
+    """The adjugate over det = +-1, which keeps the entries integral."""
+    s = mat_det(m)
+    assert s in (1, -1), m
+    return s * m[3], -s * m[1], -s * m[2], s * m[0]
+
+
+def entries(m: UnimodularWitness) -> tuple[int, int, int, int]:
+    """A library witness as a 4-tuple."""
+    return m.a, m.b, m.c, m.d
 
 
 # -- quadratic numbers (a + b*sqrt(D))/c, in plain integers -------------
@@ -118,28 +147,23 @@ def naive_cf_terms(x: QuadraticSurd, count: int) -> list[int]:
     return terms
 
 
-def _entries(m: UnimodularWitness) -> tuple[int, int, int, int]:
-    return m.a, m.b, m.c, m.d
-
-
-def _normalize_sign(m: UnimodularWitness) -> tuple[int, int, int, int]:
+def _normalize_sign(m: tuple) -> tuple[int, int, int, int]:
     """M and -M act identically; fix the sign of the first nonzero entry."""
-    entries = (m.a, m.b, m.c, m.d)
-    lead = next(e for e in entries if e != 0)
-    return entries if lead > 0 else tuple(-e for e in entries)
+    lead = next(e for e in m if e != 0)
+    return m if lead > 0 else tuple(-e for e in m)
 
 
-def unimodular_ball(length: int) -> list[UnimodularWitness]:
+def unimodular_ball(length: int) -> list[tuple[int, int, int, int]]:
     """All unimodular matrices reachable by generator words up to the
     given length, deduplicated up to overall sign."""
-    frontier = [UnimodularWitness.identity()]
-    seen = {_normalize_sign(frontier[0])}
+    frontier = [IDENTITY]
+    seen = {IDENTITY}
     out = list(frontier)
     for _ in range(length):
         nxt = []
         for m in frontier:
             for g in GENERATORS:
-                cand = m @ g
+                cand = mat_mul(m, g)
                 key = _normalize_sign(cand)
                 if key not in seen:
                     seen.add(key)
@@ -149,19 +173,19 @@ def unimodular_ball(length: int) -> list[UnimodularWitness]:
     return out
 
 
-def mobius_by_operators(m: UnimodularWitness, theta: QuadraticSurd) -> tuple:
+def mobius_by_operators(m: tuple, theta: QuadraticSurd) -> tuple:
     """(theta*a + b) / (theta*c + d) in the quadratic-number core."""
-    return quad_mobius(_entries(m), quad_of(theta))
+    return quad_mobius(m, quad_of(theta))
 
 
 def brute_force_equivalent(
     t1: TorusParameter, t2: TorusParameter, length: int = 12
-) -> UnimodularWitness | None:
+) -> tuple[int, int, int, int] | None:
     """Search every unimodular word up to `length` for a map t1 -> t2, in
     the quadratic-number core."""
     x, y = quad_of(t1.theta), quad_of(t2.theta)
     for m in unimodular_ball(length):
-        if quad_equal(quad_mobius(_entries(m), x), y):
+        if quad_equal(quad_mobius(m, x), y):
             return m
     return None
 
@@ -204,11 +228,11 @@ def two_period_offsets(t1: TorusParameter, t2: TorusParameter):
     return pre1, pre2 + p2[: (k2 - k1) % len(p1)], p1
 
 
-def word_matrix(word) -> UnimodularWitness:
+def word_matrix(word) -> tuple[int, int, int, int]:
     """The product of [[a, 1], [1, 0]] over the word."""
-    m = UnimodularWitness.identity()
+    m = IDENTITY
     for a in word:
-        m = m @ UnimodularWitness(a, 1, 1, 0)
+        m = mat_mul(m, (a, 1, 1, 0))
     return m
 
 

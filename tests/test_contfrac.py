@@ -203,9 +203,14 @@ class TestExpandSurd:
         assert expand_surd(S(0, q, 1, 2)) == EventuallyPeriodicCF((x,), (2 * x,))
 
 
+def held_ints(record) -> tuple[int, ...]:
+    """A memo record's terms: a cycle's period, or the cap a walk passed."""
+    return (record,) if isinstance(record, int) else record.period
+
+
 def held_words() -> int:
     """The machine words of the ints in the cycle memo, at least one each."""
-    ints = [n for state, (period, _) in contfrac._cycles.items() for n in state + period]
+    ints = [n for state, record in contfrac._cycles.items() for n in state + held_ints(record)]
     return sum(max(1, -(-n.bit_length() // 64)) for n in ints)
 
 
@@ -244,7 +249,8 @@ class TestCycleMemo:
         # each of these cycles counts about 460 words
         for k in range(200):
             n = 10**1999 + k
-            assert contfrac._cycle(n, 1, n * n + 1, contfrac.TERM_BUDGET) == ((2 * n,), 0)
+            found = contfrac._cycle(n, 1, n * n + 1, contfrac.TERM_BUDGET)
+            assert (found.period, found.offset) == ((2 * n,), 0)
             assert held_words() <= contfrac._cycle_words <= contfrac.CYCLE_MEMO_WORDS
         assert len(contfrac._cycles) < 200
 
@@ -258,9 +264,12 @@ class TestCycleMemo:
                 time.sleep(1e-4)  # another thread may run between the clear and the count
 
         def counted() -> int:
-            return sum(contfrac._CYCLE_WORDS + len(period) + 3
-                       + sum(map(int.bit_length, period + state)) // 64
-                       for state, (period, _) in contfrac._cycles.items())
+            total = 0
+            for state, record in contfrac._cycles.items():
+                ints = held_ints(record)
+                total += (contfrac._CYCLE_WORDS + len(ints) + 3
+                          + sum(map(int.bit_length, ints + state)) // 64)
+            return total
 
         monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 400)
         want = [expand_surd(x) for x in self.SURDS]
@@ -300,12 +309,37 @@ class TestCycleMemo:
 
         monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
         assert error() == error() == "expansion longer than the budget of 16 terms"
-        assert contfrac._cycles == {}
+        # sqrt(94)'s first reduced state, after its one-term preperiod, and
+        # the cap of 15 terms its walk passed
+        assert contfrac._cycles == {(9, 13, 94): 15}
         # kept under a larger budget, the cycle is still over the smaller one
         monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
         assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
         monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
         assert error() == "expansion longer than the budget of 16 terms"
+
+    def test_over_budget_state_is_walked_once(self, monkeypatch):
+        caps, walked = [], contfrac._walk
+
+        def walk(P, Q, D, cap):
+            caps.append(cap)
+            return walked(P, Q, D, cap)
+
+        monkeypatch.setattr(contfrac, "_walk", walk)
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CFError) as raised:
+                expand_surd(S(0, 1, 1, 94))
+            errors.append(str(raised.value))
+        assert errors == ["expansion longer than the budget of 16 terms"] * 2
+        assert caps == [15] and contfrac._cycle_words == 44  # 40 + the cap, P, Q and D
+        # a larger cap walks again, and its cycle replaces the passed cap
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
+        assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
+        assert caps == [15, 16] and contfrac._cycle_words == 59
+        assert contfrac._cycles[9, 13, 94].period == expand_surd(S(0, 1, 1, 94)).period
+        assert caps == [15, 16]
 
 
 class TestValueOf:

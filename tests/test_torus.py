@@ -23,7 +23,12 @@ from oracles import (
     GEN_J,
     GEN_S,
     GENERATORS,
+    IDENTITY,
     brute_force_equivalent,
+    entries,
+    mat_det,
+    mat_inverse,
+    mat_mul,
     mobius_by_operators,
     quad_equal,
     quad_of,
@@ -38,22 +43,22 @@ SQRT3 = TorusParameter(S(0, 1, 1, 3))
 GOLDEN = TorusParameter(S(1, 1, 2, 5))
 
 
-def random_word(rng, max_len=12) -> UnimodularWitness:
-    m = UnimodularWitness.identity()
+def random_word(rng, max_len=12) -> tuple[int, int, int, int]:
+    m = IDENTITY
     for _ in range(rng.randint(0, max_len)):
-        m = m @ rng.choice(GENERATORS)
+        m = mat_mul(m, rng.choice(GENERATORS))
     return m
 
 
-def big_word(rng, bound=10**40) -> UnimodularWitness:
+def big_word(rng, bound=10**40) -> tuple[int, int, int, int]:
     """A random word in T^k (0 < |k| <= 10^6), S and J, grown while its
     entries stay within bound."""
-    m = UnimodularWitness.identity()
+    m = IDENTITY
     while True:
         k = rng.choice((-1, 1)) * rng.randint(1, 10**6)
-        letter = rng.choice((UnimodularWitness(1, k, 0, 1), GEN_S, GEN_J))
-        grown = m @ letter
-        if max(map(abs, (grown.a, grown.b, grown.c, grown.d))) > bound:
+        letter = rng.choice(((1, k, 0, 1), GEN_S, GEN_J))
+        grown = mat_mul(m, letter)
+        if max(map(abs, grown)) > bound:
             return m
         m = grown
 
@@ -65,19 +70,13 @@ class TestWitnessMatrix:
         with pytest.raises(TorusError):
             UnimodularWitness(0, 0, 0, 0)
 
-    def test_inverse_and_product(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            m = random_word(rng)
-            assert (m @ m.inverse()).rows() == ((1, 0), (0, 1))
-
 
 class TestApplyMobius:
     def test_translation(self):
         assert apply_mobius(UnimodularWitness(1, 1, 0, 1), SQRT2).theta == S(1, 1, 1, 2)
 
     def test_identity(self):
-        assert apply_mobius(UnimodularWitness.identity(), GOLDEN).theta == GOLDEN.theta
+        assert apply_mobius(UnimodularWitness(*IDENTITY), GOLDEN).theta == GOLDEN.theta
 
     def test_det_minus_one(self):
         # (sqrt2 + 1)/sqrt2 = (2 + sqrt2)/2
@@ -88,14 +87,14 @@ class TestApplyMobius:
     @given(st.integers(0, 2**64), st.sampled_from((1, -1)),
            st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
            st.integers(1, 10**6), st.sampled_from((2, 3, 5, 6, 1003, 1000000007)))
-    def test_one_integer_step_matches_surd_operators(self, seed, det, p, q, r, d):
+    def test_one_integer_step_matches_oracle_core(self, seed, det, p, q, r, d):
         rng = random.Random(seed)
         theta = S(p, q, r, d)
         m = big_word(rng)
-        if m.det != det:
-            m = GEN_J @ m  # swaps the rows: same entries, the other determinant
-        assert m.det == det and max(map(abs, (m.a, m.b, m.c, m.d))) > 10**33
-        got = apply_mobius(m, TorusParameter(theta)).theta
+        if mat_det(m) != det:
+            m = mat_mul(GEN_J, m)  # swaps the rows: same entries, the other determinant
+        assert mat_det(m) == det and max(map(abs, m)) > 10**33
+        got = apply_mobius(UnimodularWitness(*m), TorusParameter(theta)).theta
         assert quad_equal(quad_of(got), mobius_by_operators(m, theta))
 
 
@@ -132,7 +131,7 @@ class TestMoritaEquivalent:
 
     def test_reflexive_symmetric_transitive(self):
         rng = random.Random(11)
-        params = [apply_mobius(random_word(rng, 6), SQRT3) for _ in range(4)]
+        params = [apply_mobius(UnimodularWitness(*random_word(rng, 6)), SQRT3) for _ in range(4)]
         for t in params:
             assert morita_equivalent(t, t) is not None
         for a in params:
@@ -143,7 +142,7 @@ class TestMoritaEquivalent:
         a, b, c = params[:3]
         wab = morita_equivalent(a, b)
         wbc = morita_equivalent(b, c)
-        composed = wbc @ wab
+        composed = UnimodularWitness(*mat_mul(entries(wbc), entries(wab)))
         assert apply_mobius(composed, a).theta == c.theta
 
     def test_isomorphic_implies_morita(self):
@@ -188,7 +187,7 @@ class TestMoritaInvariant:
         rng = random.Random(hash(base.theta) & 0xFFFF)
         expected = morita_invariant(base)
         for _ in range(30):
-            t = apply_mobius(random_word(rng), base)
+            t = apply_mobius(UnimodularWitness(*random_word(rng)), base)
             assert morita_invariant(t) == expected
 
 
@@ -198,11 +197,12 @@ def counts(walks: dict) -> dict:
 
 class TestOneExpansionPerParameter:
     """Each parameter walks its preperiod at most once, however many of
-    its verbs' steps read it.  Each cycle of reduced states is walked and
-    rotated once for all the parameters and requests that enter it at the
-    same state, while contfrac's memo keeps it (the memo starts each test
-    empty).  A Morita lookup expands theta1 only and runs theta2 to its
-    first reduced quotient, or not at all in another field."""
+    its verbs' steps read it.  Each cycle of reduced states is walked once
+    for all the parameters and requests that enter it at the same state,
+    and rotated once when a torus verb first reads its offset, while
+    contfrac's memo keeps it (the memo starts each test empty).  A Morita
+    lookup expands theta1 only and runs theta2 to its first reduced
+    quotient, or not at all in another field."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -282,6 +282,16 @@ class TestOneExpansionPerParameter:
         # read both from the memo
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 2, "least_rotation": 2}
 
+    def test_expand_never_rotates(self, walks):
+        # cf.expand reads the period only; the invariant of the same theta
+        # reads the kept cycle and rotates it then
+        batch = [{"id": i, "verb": verb, "args": {"theta": "sqrt(19)"}}
+                 for i, verb in enumerate(["cf.expand", "cf.expand", "torus.invariant"])]
+        assert [r["status"] for r in run_batch(batch[:2])] == ["ok", "ok"]
+        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 2, "_walk": 1, "least_rotation": 0}
+        assert run_batch(batch[2:])[0]["result"] == {"invariant": [1, 2, 8, 2, 1, 3]}
+        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 3, "_walk": 1, "least_rotation": 1}
+
     def test_invariants_of_one_cycle_walk_it_once(self, walks):
         # 1+sqrt(100003) enters the cycle of sqrt(100003) at the same state
         entries = [{"id": i, "verb": "torus.invariant", "args": {"theta": theta}}
@@ -329,6 +339,11 @@ def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
     return "cycle longer than L" if contfrac._cycle(P, Q, D1, L) is None else "other cycle"
 
 
+def transfer(w1, w2) -> tuple[int, int, int, int]:
+    """M(w2) * M(w1)^-1 for the word matrices, on the oracle core."""
+    return mat_mul(word_matrix(w2), mat_inverse(word_matrix(w1)))
+
+
 class TestAgainstTwoPeriods:
     """The one-cycle lookup gives the witnesses of the rule of two
     periods (oracles.two_period_offsets) on 20000 seeded pairs, and every
@@ -348,7 +363,7 @@ class TestAgainstTwoPeriods:
             t1 = self.draw(rng, d)
             u = rng.random()
             if u < 0.5:
-                t2 = apply_mobius(random_word(rng), t1)
+                t2 = apply_mobius(UnimodularWitness(*random_word(rng)), t1)
             elif u < 0.95:
                 t2 = self.draw(rng, d)
             else:  # most of these lie in another field
@@ -359,13 +374,13 @@ class TestAgainstTwoPeriods:
                 key = lookup_branch(t1, t2)
             else:
                 w1, w2, period = found
-                assert morita_equivalent(t1, t2) == word_matrix(w2) @ word_matrix(w1).inverse()
+                assert entries(morita_equivalent(t1, t2)) == transfer(w1, w2)
                 if (len(w1) + len(w2)) % 2 and len(period) % 2 == 0:
                     assert sl2_witness(t1, t2) is None
                 else:
                     if (len(w1) + len(w2)) % 2:
                         w2 += period
-                    assert sl2_witness(t1, t2) == word_matrix(w2) @ word_matrix(w1).inverse()
+                    assert entries(sl2_witness(t1, t2)) == transfer(w1, w2)
                 key = "equivalent"
             branches[key] = branches.get(key, 0) + 1
         assert set(branches) == {
@@ -408,10 +423,8 @@ class TestPinnedWitnesses:
         w = sl2_witness(t1, t2)
         assert (w.rows() if w else None) == sl2
 
-    def test_no_surd_floor_in_search(self):
-        # QuadraticSurd has no floor: the search aligns period words, and
-        # only expand_surd's integer recursion and the re-application
-        # check touch the values
+    def test_long_period_witnesses_have_det_one_and_reapply(self):
+        # L = 342: both witnesses of sqrt(100003) and 1 + sqrt(100003)
         t1 = TorusParameter(S(0, 1, 1, 100003))
         t2 = TorusParameter(S(1, 1, 1, 100003))
         for w in (morita_equivalent(t1, t2), sl2_witness(t1, t2)):
