@@ -30,7 +30,7 @@ class UsageError(Exception):
     pass
 
 
-DOMAIN_ERRORS = (SurdError, CFError, TorusError, DimGroupError, CurveError, ZeroDivisionError)
+DOMAIN_ERRORS = (SurdError, CFError, TorusError, DimGroupError, CurveError)
 
 
 def _arg(args: dict, key: str):
@@ -103,13 +103,13 @@ def _cf_from_args(args: dict):
     raise UsageError("expected 'terms' or 'preperiod'/'period'")
 
 
-def _text(x, error: type, what: str = "result too long to print") -> str:
+def _text(x, error: type) -> str:
     """str(x) for an exact result printed as a string; an int in x past
-    the interpreter's digit limit raises error, naming what."""
+    the interpreter's digit limit raises error."""
     try:
         return str(x)
     except ValueError:
-        raise error(f"{what}: {digit_limit_text()}") from None
+        raise error(f"result too long to print: {digit_limit_text()}") from None
 
 
 def _cf_json(cf) -> dict:
@@ -141,16 +141,15 @@ def _cmd_cf_convergents(args: dict) -> dict:
     cf = _cf_from_args(args)
     count = _int(_arg(args, "count"), "count")
     if count > sys.maxsize:
-        raise UsageError(f"count must be at most {sys.maxsize}, got {count}")
+        raise UsageError(f"count must be at most {sys.maxsize}, got {clipped(str(count))}")
     # q_k >= F_(k+1), so a long expansion reaches the interpreter's digit
     # limit for printing after about 20k terms: find the first convergent
     # with an entry of more digits than the limit before printing any
     ceiling = _digit_ceiling(sys.get_int_max_str_digits())
     found = []
     for c in contfrac.iter_convergents(cf, count):
-        widest = max(abs(c.p), abs(c.q))
-        if ceiling and widest >= ceiling:
-            _text(widest, CFError, f"convergent {c.index} is too long to print")
+        if ceiling and max(abs(c.p), abs(c.q)) >= ceiling:
+            raise CFError(f"convergent {c.index} is too long to print: {digit_limit_text()}")
         found.append(c)
     return {"convergents": [f"{c.p}/{c.q}" for c in found]}
 

@@ -216,18 +216,19 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     itself (_cycle).  An expansion of more than _term_budget(D) terms in
     all raises CFError.
     """
-    return _periodic(_reduced_state(x))[0]
+    reduced = _reduced_state(x)
+    return EventuallyPeriodicCF(reduced[0], _periodic(reduced).period)
 
 
-def _periodic(reduced: tuple) -> tuple[EventuallyPeriodicCF, _Cycle]:
-    """The expansion of the surd whose _reduced_state (preperiod, P, Q, D)
-    is reduced, and the cycle through its first reduced state."""
+def _periodic(reduced: tuple) -> _Cycle:
+    """The cycle through the first reduced state of the surd whose
+    _reduced_state (preperiod, P, Q, D) is reduced."""
     preperiod, P, Q, D = reduced
     budget = _term_budget(D)
     found = _cycle(P, Q, D, budget - len(preperiod))
     if found is None:
         raise CFError(f"expansion longer than the budget of {budget} terms")
-    return EventuallyPeriodicCF(preperiod, found.period), found
+    return found
 
 
 class _Cycle:
@@ -246,6 +247,10 @@ class _Cycle:
         if self._offset is None:  # two threads may both rotate; they agree
             self._offset = least_rotation(self.period)
         return self._offset
+
+    def least(self) -> tuple[int, ...]:
+        """The period at its least rotation: the tail class's normal form."""
+        return self.period[self.offset:] + self.period[:self.offset]
 
 
 # Most machine words the cycle memo holds.  A record's k ints (a cycle's

@@ -219,7 +219,9 @@ def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> 
     lo, hi = (e1, e2) if e1.stage <= e2.stage else (e2, e1)
     gap = hi.stage - lo.stage
     if gap > STAGE_BUDGET:
-        raise DimGroupError(f"stage gap {gap} exceeds the stage budget of {STAGE_BUDGET}")
+        raise DimGroupError(
+            f"stage gap {clipped(str(gap))} exceeds the stage budget of {STAGE_BUDGET}"
+        )
     bits = max(map(sum, g.phi)).bit_length()
     if gap * bits > 64 * STAGE_BUDGET:
         raise DimGroupError(

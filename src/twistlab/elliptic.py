@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional
 
 from ._value import Value
-from .errors import CurveError, SingularCurveError, digit_limit_text
+from .errors import CurveError, SingularCurveError, clipped, digit_limit_text
 
 
 def _ints(e: EllipticCurve) -> tuple[int, int, int, int]:
@@ -41,7 +41,7 @@ class EllipticCurve(Value):
         x, y = _terms(A, B)
         if x + y == 0:
             try:
-                message = f"singular curve: A={A}, B={B}"
+                message = f"singular curve: A={clipped(str(A))}, B={clipped(str(B))}"
             except ValueError:  # A or B past the interpreter's digit limit
                 message = f"singular curve: A or B too long to print: {digit_limit_text()}"
             raise SingularCurveError(message)

@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Optional
 
 from ._value import Value
-from .contfrac import EventuallyPeriodicCF, _Cycle, _cycle, _periodic, _reduced_state, _transfer
+from .contfrac import _Cycle, _cycle, _periodic, _reduced_state, _transfer
 from .errors import TorusError
 from .surd import QuadraticSurd
 
@@ -29,30 +29,20 @@ class TorusParameter(Value):
 
     # cached_property writes the instance __dict__ directly, past the
     # refused assignment: each parameter's preperiod is walked at most
-    # once, however many verbs ask.  Its period comes from contfrac's cycle
-    # memo, walked once for all the parameters that enter the cycle at the
-    # same state, and rotated when a verb first reads the offset, while the
-    # memo keeps it.
-    @cached_property
-    def periodic(self) -> tuple[EventuallyPeriodicCF, _Cycle]:
-        """theta's expansion and the cycle of its period."""
-        return _periodic(self.reduced)
-
-    @property
-    def expansion(self) -> EventuallyPeriodicCF:
-        return self.periodic[0]
-
-    @property
-    def rotation(self) -> int:
-        """Least-rotation offset of the (primitive) period."""
-        return self.periodic[1].offset
-
+    # once, however many verbs ask.  Its cycle comes from contfrac's memo,
+    # walked once for all the parameters that enter it at the same state,
+    # and rotated when a verb first reads the offset, while the memo keeps it.
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
         """(preperiod, P, Q, D): theta's first reduced complete quotient
         (P + sqrt(D))/Q, D a square times theta.d, and the terms before it;
-        the expansion and the Morita lookup continue from it."""
+        the cycle and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
+
+    @cached_property
+    def cycle(self) -> _Cycle:
+        """The cycle of theta's period, walked from its first reduced quotient."""
+        return _periodic(self.reduced)
 
 
 class UnimodularWitness(Value):
@@ -100,8 +90,7 @@ def isomorphic(t1: TorusParameter, t2: TorusParameter) -> bool:
 def morita_invariant(t: TorusParameter) -> tuple[int, ...]:
     """Canonical rotation of the minimal period: the normal form of the
     infinite tail class."""
-    p, k = t.expansion.period, t.rotation
-    return p[k:] + p[:k]
+    return t.cycle.least()
 
 
 def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
@@ -125,7 +114,7 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     gives the same witness."""
     if t1.theta.d != t2.theta.d:
         return None
-    p1, k1 = t1.expansion.period, t1.rotation
+    c1 = t1.cycle
     pre1, _, _, D1 = t1.reduced
     pre2, P2, Q2, D2 = t2.reduced
     scale = isqrt(D1 * D2)  # M1/M2 = scale/D2 for D_i = M_i^2 * d
@@ -133,13 +122,11 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     Q, q_rem = divmod(Q2 * scale, D2)
     if p_rem or q_rem or (D1 - P * P) % Q:
         return None
-    found = _cycle(P, Q, D1, len(p1))
-    if found is None:
+    L = len(c1.period)
+    c2 = _cycle(P, Q, D1, L)
+    if c2 is None or c2.least() != c1.least():
         return None
-    p2, k2 = found.period, found.offset
-    if p2[k2:] + p2[:k2] != morita_invariant(t1):
-        return None
-    return pre1, pre2 + p2[:(k2 - k1) % len(p1)], p1
+    return pre1, pre2 + c2.period[:(c2.offset - c1.offset) % L], c1.period
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
@@ -152,7 +139,7 @@ def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[Unimod
     """A verified witness M(w2) * M(w1)^-1 of determinant (-1)^(|w1| + |w2|)
     for the prefix words, or None when the tail classes differ.
 
-    Expands theta1 and runs theta2 only to its first reduced quotient,
+    Walks theta1's cycle and runs theta2 only to its first reduced quotient,
     which is then looked up on theta1's cycle (_tail_offsets)."""
     found = _tail_offsets(t1, t2)
     return _verified(UnimodularWitness(*_transfer(*found[:2])), t1, t2) if found else None

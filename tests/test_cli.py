@@ -275,6 +275,32 @@ def test_usage_errors_answer_in_under_a_kilobyte(verb, args):
     assert len(json.dumps(got)) < 1000
 
 
+S_1400 = 10**1400  # A = -3s^2, B = 2s^3 is singular, each within the digit limit
+
+
+@pytest.mark.parametrize("verb, args, kind", [
+    ("curve.j", {"A": str(-3 * S_1400**2), "B": str(2 * S_1400**3)}, "SingularCurveError"),
+    ("cf.convergents", {"period": [1], "count": "9" * 4001}, "usage"),
+    ("dimgroup.compare", {"phi": [[2, 1], [1, 1]], "e1": {"vector": [1, 0]},
+                          "e2": {"stage": "9" * 4001, "vector": [1, 0]}}, "DimGroupError"),
+], ids=["singular-curve", "count-bound", "stage-gap"])
+def test_large_values_in_messages_are_clipped(verb, args, kind):
+    (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+    assert got["kind"] == kind and " more characters)" in got["message"]
+    assert len(json.dumps(got)) < 1000
+
+
+def test_division_by_zero_is_internal(monkeypatch):
+    """No verb divides by zero on any input, so one that does is a fault
+    of the program, not a domain error."""
+    def divide(args):
+        return 1 // 0
+
+    monkeypatch.setitem(VERBS, "cf.value", divide)
+    (got,) = run_batch([{"id": 0, "verb": "cf.value", "args": {}}])
+    assert got["kind"] == "internal" and got["message"].startswith("ZeroDivisionError")
+
+
 class TestStrictIntegers:
     def test_float_period_rejected(self):
         with pytest.raises(UsageError):
@@ -616,7 +642,7 @@ def test_curve_verbs_at_4000_digits(tmp_path, capsys, alarm):
     code, out, err = run_main(["batch", "--in", str(path)], capsys)
     assert code == 0 and err == ""
     assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
-        27933, "c0976e185cb3fa5cec52ff6b8af1245af4d06bbf345f3c4a9d370082d1aa084c")
+        21515, "5e88274bec9a56c3a3d25cbfab43e3870c7abb1bfb0747ba5e32078514cd7676")
     got = {r["id"]: r for r in json.loads(out)}
     too_long = f"result too long to print: {DIGIT_LIMIT_4300}"
     for i in ("j-long", "twist-long", "between-long"):

@@ -256,7 +256,7 @@ class TestOneExpansionPerParameter:
         t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
         assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
-        assert "periodic" not in vars(t2) and "reduced" not in vars(t2)
+        assert "cycle" not in vars(t2) and "reduced" not in vars(t2)
 
     def test_large_conductor_walks_over_theta1s_radicand(self, walks):
         # theta2's first reduced quotient lies over 10^600 * 100003; rescaled
@@ -291,6 +291,29 @@ class TestOneExpansionPerParameter:
         assert counts(walks) == {"expand_surd": 2, "_reduced_state": 2, "_walk": 1, "least_rotation": 0}
         assert run_batch(batch[2:])[0]["result"] == {"invariant": [1, 2, 8, 2, 1, 3]}
         assert counts(walks) == {"expand_surd": 2, "_reduced_state": 3, "_walk": 1, "least_rotation": 1}
+
+    def test_torus_verbs_build_no_expansion(self, monkeypatch):
+        # the torus verbs read a parameter's reduced state and cycle; only
+        # cf.expand builds an EventuallyPeriodicCF, here from the kept cycle
+        built = []
+        init = contfrac.EventuallyPeriodicCF.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(contfrac.EventuallyPeriodicCF, "__init__", counted)
+        theta = "(1+sqrt(100003))/2"
+        batch = [
+            ("torus.invariant", {"theta": theta}),
+            ("torus.morita", {"theta1": "sqrt(100003)", "theta2": theta}),
+            ("torus.morita", {"theta1": "sqrt(100003)", "theta2": "sqrt(7)"}),
+            ("torus.morita", {"theta1": "sqrt(100003)", "theta2": "2*sqrt(100003)"}),
+        ]
+        got = run_batch([{"id": i, "verb": v, "args": a} for i, (v, a) in enumerate(batch)])
+        assert [r["status"] for r in got] == ["ok"] * len(batch) and built == []
+        (got,) = run_batch([{"id": 0, "verb": "cf.expand", "args": {"theta": theta}}])
+        assert got["status"] == "ok" and len(built) == 1
 
     def test_invariants_of_one_cycle_walk_it_once(self, walks):
         # 1+sqrt(100003) enters the cycle of sqrt(100003) at the same state
@@ -335,7 +358,7 @@ def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
     P, Q = int(P2 * M), int(Q2 * M)
     if (D1 - P * P) % Q:
         return "Q does not divide D1 - P^2"
-    L = len(t1.expansion.period)
+    L = len(t1.cycle.period)
     return "cycle longer than L" if contfrac._cycle(P, Q, D1, L) is None else "other cycle"
 
 

@@ -75,7 +75,7 @@ def test_fields_refuse_assignment(cls, kwargs, text, other):
 
 def test_cached_expansion_leaves_parameter_unchanged():
     t = TorusParameter(SQRT2)
-    assert t.expansion == EventuallyPeriodicCF((1,), (2,)) and t.rotation == 0
+    assert t.reduced[0] == (1,) and t.cycle.period == (2,) and t.cycle.offset == 0
     assert t == TorusParameter(SQRT2)
     assert hash(t) == hash(TorusParameter(SQRT2))
     assert repr(t) == "TorusParameter(theta=QuadraticSurd(0, 1, 1, 2))"
