@@ -142,10 +142,7 @@ class StationaryDimensionGroup(Value):
     def rank(self) -> int:
         return 2 if self._word is not None else len(self.phi)
 
-    # computed once per group: dimgroup.from-period reads it for det and
-    # again through shift_is_automorphism.  A period's phi is a product of
-    # len(word) factors of determinant -1.
-    @cached_property
+    @property
     def determinant(self) -> int:
         if self._word is not None:
             return -1 if len(self._word) % 2 else 1
@@ -189,50 +186,31 @@ def _check_vector(g: StationaryDimensionGroup, e: K0Element):
         )
 
 
-# Most stages element_equal pushes across.  Each push widens the entries
-# by about the bit size of phi, so the time grows with the square of the
-# gap: 10^3 stages took 4 ms for [[2, 1], [1, 1]] and 29 ms for a 3x3 phi
-# with 10^12 on the diagonal, 10^4 stages 0.07 s and 2.0 s (2-vCPU Xeon
-# VM).  The benchmark's gaps are at most 3 stages.  A push grows the
-# entries by at most the bit length of phi's largest row sum rho, since
-# |phi v| <= rho |v| in the max norm, and a gap may grow them by at most
-# 64 * STAGE_BUDGET bits: a 6x6 phi of 10^100s took 3.4 s across 10^3 stages.
-STAGE_BUDGET = 10**3
-# Each push is n^2 multiply-adds, and the i-th multiplies an entry of phi
-# by one of up to i b bits, so a gap of g stages costs about
-# n^2 g (g b (b + 256) + 10^5) units.  A unit took 0.26-0.84 ps on random
-# dense matrices from n = 3 to 60 and b = 2 to 10^4 (2-vCPU Xeon VM,
-# Python 3.11), so the budget allows at most about 0.85 s; a random 0..3
-# phi of rank 60 took 1.8 s across 10^3 stages.  Within the other two
-# budgets only a phi of rank 7 or more can reach this one.
+# Each push is n^2 multiply-adds and grows the entries by at most the bit
+# length b of phi's largest row sum rho, as |phi v| <= rho |v| in the max
+# norm, so a gap of g stages costs about n^2 g (g b (b + 256) + 10^5)
+# units.  A unit took 0.26-0.84 ps on random dense matrices from n = 3 to
+# 60 and b = 2 to 10^4, so the budget allows about 0.85 s: 1.8 s for a
+# random 0..3 phi of rank 60 across 10^3 stages is refused, and at its
+# limit [[1]] took 0.07 s for 62184 stages and [[2^1000]] 0.35 s for 891
+# (2-vCPU Xeon VM, Python 3.11).
 PUSH_BUDGET = 10**12
 
 
 def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> bool:
     """Push the lower-stage vector forward; phi is injective (det != 0),
-    so this decides equality in the limit.  A gap of more than
-    STAGE_BUDGET stages, or one whose pushes may grow the entries by more
-    than 64 * STAGE_BUDGET bits or cost more than PUSH_BUDGET, raises
-    DimGroupError."""
+    so this decides equality in the limit.  A gap whose pushes may cost
+    more than PUSH_BUDGET raises DimGroupError."""
     _check_vector(g, e1)
     _check_vector(g, e2)
     lo, hi = (e1, e2) if e1.stage <= e2.stage else (e2, e1)
     gap = hi.stage - lo.stage
-    if gap > STAGE_BUDGET:
-        raise DimGroupError(
-            f"stage gap {clipped(str(gap))} exceeds the stage budget of {STAGE_BUDGET}"
-        )
     bits = max(map(sum, g.phi)).bit_length()
-    if gap * bits > 64 * STAGE_BUDGET:
-        raise DimGroupError(
-            f"stage gap {gap} at {bits} bits a stage exceeds the budget of "
-            f"{64 * STAGE_BUDGET} bits of growth"
-        )
     n = g.rank
     if n * n * gap * (gap * bits * (bits + 256) + 10**5) > PUSH_BUDGET:
         raise DimGroupError(
-            f"stage gap {gap} at rank {n} and {bits} bits a stage exceeds the "
-            f"push budget of {PUSH_BUDGET}"
+            f"stage gap {clipped(str(gap))} at rank {n} and {bits} bits a stage "
+            f"exceeds the push budget of {PUSH_BUDGET}"
         )
     v = lo.vector
     for _ in range(gap):

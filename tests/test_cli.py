@@ -572,6 +572,59 @@ def test_long_words_through_main(tmp_path_factory, batch):
     assert [r for r in got if r.get("kind") == "internal"] == []
 
 
+_DRAWS = random.Random(3)
+# Sizes that test_arbitrary_json_arguments never draws, on a log scale up to
+# each argument's limit, the largest of each kind always among them.  A word
+# (n, e) is n - 1 terms of 10^e and a last one of 10^e + 1, so it is
+# primitive: up to 2 * 10^5 ones, or up to 200 terms of up to 10^4299.
+# Stage gaps reach 10^9.
+SIZED_WORDS = [(200000, 0), (200, 4299)] + [
+    (round(10 ** _DRAWS.uniform(0, 5.3)), 0) for _ in range(2)] + [
+    (round(10 ** _DRAWS.uniform(0, 2.3)), round(10 ** _DRAWS.uniform(0, 3.63))) for _ in range(2)]
+GAPS = [10**9] + [round(10 ** _DRAWS.uniform(0, 9)) for _ in range(5)]
+# phi and a vector it fixes or grows
+SIZED_GROUPS = {"[[1]]": ([[1]], [1]), "[[2,1],[1,1]]": ([[2, 1], [1, 1]], [1, 0]),
+                "J+I": ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [1, -1, 0])}
+SIZED = [
+    pytest.param(verb, size, None, id=f"{verb}-{size[0]}x10^{size[1]}")
+    for verb in ("cf.value", "dimgroup.from-period", "torus.morita") for size in SIZED_WORDS
+] + [
+    pytest.param("dimgroup.compare", size, gap, id=f"{size[0]}x10^{size[1]}-gap-{gap}")
+    for size in SIZED_WORDS for gap in (1, GAPS[0])
+] + [
+    pytest.param("dimgroup.compare", group, gap, id=f"{group}-gap-{gap}")
+    for group in SIZED_GROUPS for gap in GAPS
+]
+
+
+def answered(verb: str, args: dict) -> dict:
+    (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+    assert got["status"] == "ok" or got["kind"] != "internal", got["message"]
+    return got
+
+
+@pytest.mark.parametrize("verb, size, gap", SIZED)
+def test_sized_inputs_answer_in_bounded_time(verb, size, gap, alarm):
+    # each entry answers or gives a typed error within the alarm; a Morita
+    # pair is the golden ratio and the value of [word; (1)], when it prints
+    if size in SIZED_GROUPS:
+        phi, v = SIZED_GROUPS[size]
+        answered(verb, {"phi": phi, "e1": {"vector": v}, "e2": {"stage": gap, "vector": v}})
+        return
+    n, e = size
+    word = [10**e] * (n - 1) + [10**e + 1]
+    if verb == "dimgroup.compare":
+        answered(verb, {"period": word, "e1": {"vector": [1, 0]},
+                        "e2": {"stage": gap, "vector": [1, 0]}})
+    elif verb != "torus.morita":
+        answered(verb, {"period": word})
+    else:
+        value = answered("cf.value", {"preperiod": word, "period": [1]})
+        if value["status"] == "ok":
+            got = answered(verb, {"theta1": "(1+sqrt(5))/2", "theta2": value["result"]["value"]})
+            assert got["status"] == "error" or got["result"]["equivalent"] is True
+
+
 class TestUnprintableResults:
     """Results with an int past the interpreter's 4300-digit limit for
     printing; run_batch keeps them exact and main prints the verb's

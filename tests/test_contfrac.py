@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twistlab import contfrac
+from twistlab import contfrac, dimgroup
 from twistlab.contfrac import (
     CFError,
     Convergent,
@@ -371,6 +371,28 @@ class TestValueOf:
             x = value_of(cf)
         assert sum(fed) == len(cf.preperiod) + len(cf.period)
         assert expand_surd(x) == cf
+
+    def test_word_budget(self, alarm):
+        # checked before the first multiplication, over every product a verb
+        # runs and over the matrix a product continues
+        message = f"^word exceeds the word budget of {contfrac.WORD_BUDGET}$"
+        heavy = (10**4299,) * 199 + (10**4299 + 1,)
+        pre, period = (10**4000,) * 24 + (3,), (10**4000,) * 24 + (10**4000 + 1,)
+        for product in (lambda: value_of(FiniteCF((1,) * 199999 + (2,))),
+                        lambda: value_of(EventuallyPeriodicCF((), heavy)),
+                        lambda: value_of(EventuallyPeriodicCF(pre, period)),
+                        lambda: contfrac._transfer((1,), heavy),
+                        lambda: dimgroup.from_cf_period(heavy).phi):
+            with pytest.raises(CFError, match=message):
+                product()
+        # within it: each of pre and period alone, 5 * 10^4 ones, and one
+        # large term among small ones, which the quick bound from the sum of
+        # the terms puts past the budget and the bits counted do not
+        contfrac._mobius_matrix(pre)
+        contfrac._mobius_matrix(period)
+        assert contfrac._mobius_matrix((1,) * 50000)[1] > 10**10000
+        for a0 in (10**4000, -10**4000):
+            assert value_of(FiniteCF((a0,) + (1,) * 30000 + (2,))).r > 10**6000
 
 
 class TestConvergents:

@@ -12,7 +12,6 @@ from twistlab.dimgroup import (
     HALVING_BUDGET,
     PERRON_BUDGET,
     PUSH_BUDGET,
-    STAGE_BUDGET,
     DimGroupError,
     K0Element,
     NotCFTypeError,
@@ -245,46 +244,44 @@ class TestElementEqual:
 
     def test_stage_budget(self, alarm):
         # J + I fixes v = (1, -1, 0), so the two elements are equal at every
-        # gap; past the budget the answer is an error, never False
+        # gap; past the push budget (a gap of 11894 at rank 3 and 3 bits a
+        # stage) the answer is an error, never False
         g = from_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
         v = (1, -1, 0)
-        assert element_equal(g, K0Element(0, v), K0Element(STAGE_BUDGET, v))
-        assert element_equal(g, K0Element(STAGE_BUDGET + 3, v), K0Element(3, v))
-        for lo, hi in [(0, STAGE_BUDGET + 1), (10**8, 0)]:
-            with pytest.raises(DimGroupError, match=f"stage budget of {STAGE_BUDGET}"):
+        assert element_equal(g, K0Element(0, v), K0Element(11000, v))
+        assert element_equal(g, K0Element(11003, v), K0Element(3, v))
+        for lo, hi in [(0, 12000), (10**8, 0)]:
+            with pytest.raises(DimGroupError, match=f"push budget of {PUSH_BUDGET}$"):
                 element_equal(g, K0Element(lo, v), K0Element(hi, v))
 
     def test_bit_budget(self, alarm):
-        # within the stage budget, a wide phi still may not grow the pushed
-        # entries by more than 64 * STAGE_BUDGET bits
+        # a wide phi grows the pushed entries by its 335 bits a stage, so the
+        # push budget stops it after 374 stages
         big = 10**100
         g = from_matrix([[big + (i == j) for j in range(6)] for i in range(6)])
         v = (1, 2, 3, 4, 5, 6)
-        bits = (6 * big + 1).bit_length()
-        reach = 64 * STAGE_BUDGET // bits
-        assert not element_equal(g, K0Element(0, v), K0Element(reach, v))
-        for gap in (reach + 1, 300, STAGE_BUDGET):
-            with pytest.raises(DimGroupError, match=f"budget of {64 * STAGE_BUDGET} bits"):
+        assert not element_equal(g, K0Element(0, v), K0Element(374, v))
+        for gap in (375, 1000):
+            with pytest.raises(DimGroupError, match=f"^stage gap {gap} at rank 6 and 335 bits"):
                 element_equal(g, K0Element(0, v), K0Element(gap, v))
         # (1, -1, 0) is an eigenvector, of eigenvalue 10^12 - 1
         g = from_matrix([[10**12, 1, 1], [1, 10**12, 1], [1, 1, 10**12]])
-        top = (10**12 - 1) ** STAGE_BUDGET
-        assert element_equal(g, K0Element(0, (1, -1, 0)), K0Element(STAGE_BUDGET, (top, -top, 0)))
+        top = (10**12 - 1) ** 1000
+        assert element_equal(g, K0Element(0, (1, -1, 0)), K0Element(1000, (top, -top, 0)))
 
     def test_push_budget(self, alarm):
-        # each push is rank^2 multiply-adds: within the other budgets, a
-        # random 0..3 phi of rank 20 may cross all 10^3 stages, one of rank 60
-        # may not
+        # each push is rank^2 multiply-adds: a random 0..3 phi of rank 20 may
+        # cross 10^3 stages, one of rank 60 may not
         rng = random.Random(41)
         g = random_primitive(rng, 20)
         v = tuple(rng.randint(-5, 5) for _ in range(20))
-        assert element_equal(g, K0Element(0, v), K0Element(STAGE_BUDGET, push(g, v))) is False
+        assert element_equal(g, K0Element(0, v), K0Element(1000, push(g, v))) is False
         g = random_primitive(rng, 60)
         bits = max(map(sum, g.phi)).bit_length()
-        message = (f"^stage gap {STAGE_BUDGET} at rank 60 and {bits} bits a stage exceeds "
+        message = (f"^stage gap 1000 at rank 60 and {bits} bits a stage exceeds "
                    f"the push budget of {PUSH_BUDGET}$")
         with pytest.raises(DimGroupError, match=message):
-            element_equal(g, K0Element(0, (1,) * 60), K0Element(STAGE_BUDGET, (1,) * 60))
+            element_equal(g, K0Element(0, (1,) * 60), K0Element(1000, (1,) * 60))
 
 
 class TestIsPositive:
