@@ -40,7 +40,8 @@ def _arg(args: dict, key: str):
 
 
 def _surd_arg(args: dict, key: str) -> surd.QuadraticSurd:
-    return surd.parse_surd(str(_arg(args, key)))
+    value = _arg(args, key)  # an array or object fails at column 0, however deep
+    return surd.parse_surd(clipped(value) if isinstance(value, (list, dict)) else str(value))
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -56,7 +57,7 @@ def _int(value, what: str) -> int:
             return int(value)
         except ValueError:  # beyond the interpreter's digit limit
             raise UsageError(f"{what}: {digit_limit_text()}") from None
-    raise UsageError(f"{what} must be an integer, got {clipped(repr(value))}")
+    raise UsageError(f"{what} must be an integer, got {clipped(value, repr)}")
 
 
 _FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -71,7 +72,7 @@ def _fraction_arg(args: dict, key: str) -> Fraction:
         return Fraction(value)
     match = _FRACTION_TEXT.fullmatch(value) if isinstance(value, str) else None
     if not match:
-        raise UsageError(f"argument '{key}' must be an integer or n/m, got {clipped(repr(value))}")
+        raise UsageError(f"argument '{key}' must be an integer or n/m, got {clipped(value, repr)}")
     num = _int(match[1], f"argument '{key}'")
     den = _int(match[2] or "1", f"argument '{key}'")
     if den == 0:
@@ -83,7 +84,7 @@ def _shaped(value, kind: type, what: str):
     """value itself if it is a JSON array (kind list) or object (kind dict)."""
     if not isinstance(value, kind):
         name = "array" if kind is list else "object"
-        raise UsageError(f"{what} must be a JSON {name}, got {clipped(repr(value))}")
+        raise UsageError(f"{what} must be a JSON {name}, got {clipped(value, repr)}")
     return value
 
 
@@ -141,7 +142,7 @@ def _cmd_cf_convergents(args: dict) -> dict:
     cf = _cf_from_args(args)
     count = _int(_arg(args, "count"), "count")
     if count > sys.maxsize:
-        raise UsageError(f"count must be at most {sys.maxsize}, got {clipped(str(count))}")
+        raise UsageError(f"count must be at most {sys.maxsize}, got {clipped(count)}")
     # q_k >= F_(k+1), so a long expansion reaches the interpreter's digit
     # limit for printing after about 20k terms: find the first convergent
     # with an entry of more digits than the limit before printing any
@@ -261,7 +262,7 @@ VERBS = {
 
 def run_command(verb: str, args: dict) -> dict:
     if not isinstance(verb, str) or verb not in VERBS:  # an array or object cannot be looked up
-        raise UsageError(f"unknown verb '{clipped(str(verb))}'")
+        raise UsageError(f"unknown verb '{clipped(verb)}'")
     if not isinstance(args, dict):
         raise UsageError("command arguments must be a JSON object")
     return VERBS[verb](args)

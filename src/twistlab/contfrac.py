@@ -66,7 +66,7 @@ def canonical_rotation(period) -> tuple[int, ...]:
     if not word:
         raise CFError("empty period")
     if not is_primitive(word):
-        raise NotPrimitiveError(f"not primitive: {clipped(str(word))}")
+        raise NotPrimitiveError(f"not primitive: {clipped(word)}")
     k = least_rotation(word)
     return word[k:] + word[:k]
 
@@ -125,7 +125,7 @@ class EventuallyPeriodicCF(Value):
         if not period:
             raise CFError("period must be nonempty")
         if not is_primitive(period):
-            raise NotPrimitiveError(f"period not primitive: {clipped(str(period))}")
+            raise NotPrimitiveError(f"period not primitive: {clipped(period)}")
         if min(period) < 1:
             raise CFError("period terms must be >= 1")
         if len(preperiod) > 1 and min(preperiod[1:]) < 1:
@@ -169,21 +169,23 @@ def expand_rational(x) -> FiniteCF:
 
 def _reduced_state(x: surd.QuadraticSurd) -> tuple[tuple[int, ...], int, int, int]:
     """(preperiod, P, Q, D): the terms of x before its first reduced
-    complete quotient (P + sqrt(D))/Q, with Q | D - P^2 and D/x.d a square.
-
-    x = (p + q*sqrt(d))/r is first written as (P + sqrt(D))/Q, D = q^2 * d,
-    and scaled by |Q| when Q does not divide D - P^2.  The preperiod runs
-    the state recursion of expand_surd until the state is reduced; more
-    than _term_budget(D) terms raise CFError.
+    complete quotient (P + sqrt(D))/Q, the least state: Q | D - P^2 and
+    gcd(P, Q, (D - P^2)/Q) = 1.  For q > 0, x = (p + q*sqrt(d))/r is
+    (p*r + sqrt(D'))/r^2 with D' = q^2*d*r^2 and (D' - (p*r)^2)/r^2 =
+    q^2*d - p^2; P and Q are p*r and r^2 divided by the content s of these
+    three, and D is D'/s^2.  For q < 0, P and Q change sign.  The recursion
+    keeps the content, so D is the discriminant of x's primitive form, or
+    a quarter of it when that is even: one radicand for every parameter
+    equivalent to x (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).
+    The preperiod runs the state recursion until the state is reduced;
+    past _term_budget(D) terms it raises CFError.
     """
     if x.is_rational:
         raise CFError("rational input: use expand_rational")
-    # rewrite (p + q*sqrt(d))/r as (P + sqrt(D))/Q with positive radical
-    sign = 1 if x.q > 0 else -1
-    P, Q, D = sign * x.p, sign * x.r, x.q * x.q * x.d
-    if (D - P * P) % Q != 0:
-        scale = abs(Q)
-        P, Q, D = P * scale, Q * scale, D * scale * scale
+    p, r, N = x.p, x.r, x.q * x.q * x.d
+    s = (1 if x.q > 0 else -1) * gcd(p * r, r * r, N - p * p)
+    P, Q = p * r // s, r * r // s
+    D = N * Q // s
     root = isqrt(D)
     budget = _term_budget(D)
     terms: list[int] = []

@@ -99,7 +99,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
     if set(map(type, values)) <= {int}:
         return values
     bad = next(x for x in values if type(x) is not int)
-    raise DimGroupError(f"{what} entries must be integers, got {clipped(repr(bad))}")
+    raise DimGroupError(f"{what} entries must be integers, got {clipped(bad, repr)}")
 
 
 class K0Element(Value):
@@ -108,7 +108,7 @@ class K0Element(Value):
     def __init__(self, stage: int, vector):
         vector = _integers(vector, "vector")
         if type(stage) is not int:
-            raise DimGroupError(f"stage must be an integer, got {clipped(repr(stage))}")
+            raise DimGroupError(f"stage must be an integer, got {clipped(stage, repr)}")
         if stage < 0:
             raise DimGroupError("stage must be nonnegative")
         object.__setattr__(self, "stage", stage)
@@ -161,9 +161,9 @@ def from_matrix(phi) -> StationaryDimensionGroup:
     if any(x < 0 for row in rows for x in row):
         raise DimGroupError("matrix entries must be nonnegative")
     if _det(rows) == 0:
-        raise SingularMatrixError(f"singular matrix: {clipped(str(rows))}")
+        raise SingularMatrixError(f"singular matrix: {clipped(rows)}")
     if not _is_primitive_matrix(rows):
-        raise NotPrimitiveMatrixError(f"not primitive: {clipped(str(rows))}")
+        raise NotPrimitiveMatrixError(f"not primitive: {clipped(rows)}")
     return StationaryDimensionGroup(rows)
 
 
@@ -175,7 +175,7 @@ def from_cf_period(period) -> StationaryDimensionGroup:
     if not word or min(word) < 1:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):
-        raise DimGroupError(f"not primitive: {clipped(str(word))}")
+        raise DimGroupError(f"not primitive: {clipped(word)}")
     return StationaryDimensionGroup._of_word(word)
 
 
@@ -209,7 +209,7 @@ def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> 
     n = g.rank
     if n * n * gap * (gap * bits * (bits + 256) + 10**5) > PUSH_BUDGET:
         raise DimGroupError(
-            f"stage gap {clipped(str(gap))} at rank {n} and {bits} bits a stage "
+            f"stage gap {clipped(gap)} at rank {n} and {bits} bits a stage "
             f"exceeds the push budget of {PUSH_BUDGET}"
         )
     v = lo.vector

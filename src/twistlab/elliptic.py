@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional
 
 from ._value import Value
-from .errors import CurveError, SingularCurveError, clipped, digit_limit_text
+from .errors import CurveError, SingularCurveError, clipped
 
 
 def _ints(e: EllipticCurve) -> tuple[int, int, int, int]:
@@ -40,11 +40,7 @@ class EllipticCurve(Value):
         B = B if type(B) is Fraction else Fraction(B)
         x, y = _terms(A, B)
         if x + y == 0:
-            try:
-                message = f"singular curve: A={clipped(str(A))}, B={clipped(str(B))}"
-            except ValueError:  # A or B past the interpreter's digit limit
-                message = f"singular curve: A or B too long to print: {digit_limit_text()}"
-            raise SingularCurveError(message)
+            raise SingularCurveError(f"singular curve: A={clipped(A)}, B={clipped(B)}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 

@@ -19,10 +19,17 @@ def digit_limit_text() -> str:
 SHOWN_CHARS = 100
 
 
-def clipped(text: str) -> str:
-    """text, as an error message quotes an offending value: whole up to
-    SHOWN_CHARS characters, else its first SHOWN_CHARS and the count of
-    the rest, so that a bad input of any size gets a short message."""
+def clipped(value, show=str) -> str:
+    """show(value), as an error message quotes an offending value: whole
+    up to SHOWN_CHARS characters, else its first SHOWN_CHARS and the count
+    of the rest, so that a bad input of any size gets a short message.  A
+    value that no text can show gets a fixed text instead."""
+    try:
+        text = show(value)
+    except ValueError:  # it holds an int past the interpreter's digit limit
+        return f"<value with an {digit_limit_text()}>"
+    except RecursionError:  # arrays nested about as deep as the recursion limit
+        return "<value nested too deeply>"
     if len(text) <= SHOWN_CHARS:
         return text
     return f"{text[:SHOWN_CHARS]}... ({len(text) - SHOWN_CHARS} more characters)"

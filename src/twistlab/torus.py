@@ -10,12 +10,11 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 from __future__ import annotations
 
 from functools import cached_property
-from math import isqrt
 from typing import Optional
 
 from ._value import Value
 from .contfrac import _Cycle, _cycle, _periodic, _reduced_state, _transfer
-from .errors import TorusError
+from .errors import TorusError, clipped
 from .surd import QuadraticSurd
 
 
@@ -35,8 +34,8 @@ class TorusParameter(Value):
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
         """(preperiod, P, Q, D): theta's first reduced complete quotient
-        (P + sqrt(D))/Q, D a square times theta.d, and the terms before it;
-        the cycle and the Morita lookup continue from it."""
+        as the least state (P + sqrt(D))/Q, D a square times theta.d, and
+        the terms before it; the cycle and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
 
     @cached_property
@@ -56,7 +55,7 @@ class UnimodularWitness(Value):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         if self.det not in (1, -1):
-            raise TorusError(f"matrix {self.rows()} is not unimodular")
+            raise TorusError(f"matrix {clipped(self.rows())} is not unimodular")
 
     @property
     def det(self) -> int:
@@ -102,28 +101,22 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
     cycle of the state recursion, and theta2 is equivalent exactly when
     its first reduced quotient x lies on it: when x's cycle has the least
     rotation of theta1's period, the normal form of the tail class
-    (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  So: the fields
-    must agree; x = (P2 + sqrt(D2))/Q2 must be written over D1 as
-    (P + sqrt(D1))/Q with integers P, Q and Q | D1 - P^2, the only way x
-    can be a state of theta1; and x's cycle, read within L = |p1| terms
-    over D1 (contfrac._cycle), must rotate to p1.  x then lies
-    (k2 - k1) mod L steps before theta1's first reduced quotient, for the
-    least-rotation offsets k1 and k2, so w1 is theta1's preperiod and w2
-    is theta2's followed by that many terms of x's cycle.  Any shorter
-    pair of such prefixes differs in length by the same amount, so it
-    gives the same witness."""
+    (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  Both states are
+    least (contfrac._reduced_state), so their radicands are a class
+    invariant: the fields and then the radicands D1 and D2 must agree, and
+    x's cycle, read within L = |p1| terms over D1 (contfrac._cycle), must
+    rotate to p1.  x then lies (k2 - k1) mod L steps before theta1's first
+    reduced quotient, for the least-rotation offsets k1 and k2, so w1 is
+    theta1's preperiod and w2 is theta2's followed by that many terms of
+    x's cycle.  Any shorter pair of such prefixes differs in length by the
+    same amount, so it gives the same witness."""
     if t1.theta.d != t2.theta.d:
         return None
     c1 = t1.cycle
     pre1, _, _, D1 = t1.reduced
     pre2, P2, Q2, D2 = t2.reduced
-    scale = isqrt(D1 * D2)  # M1/M2 = scale/D2 for D_i = M_i^2 * d
-    P, p_rem = divmod(P2 * scale, D2)
-    Q, q_rem = divmod(Q2 * scale, D2)
-    if p_rem or q_rem or (D1 - P * P) % Q:
-        return None
     L = len(c1.period)
-    c2 = _cycle(P, Q, D1, L)
+    c2 = _cycle(P2, Q2, D1, L) if D1 == D2 else None
     if c2 is None or c2.least() != c1.least():
         return None
     return pre1, pre2 + c2.period[:(c2.offset - c1.offset) % L], c1.period

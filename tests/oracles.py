@@ -135,6 +135,15 @@ def quad_of(x: QuadraticSurd) -> tuple:
     return quad(x.p, x.q, x.r, x.d)
 
 
+def primitive_discriminant(p: int, q: int, r: int, d: int) -> int:
+    """Discriminant of the primitive form of (p + q*sqrt(d))/r: of its
+    minimal polynomial times r^2, r^2 x^2 - 2pr x + (p^2 - q^2 d), after
+    dividing by the content of the three coefficients."""
+    a, b, c = r * r, -2 * p * r, p * p - q * q * d
+    g = gcd(gcd(a, b), c)
+    return (b * b - 4 * a * c) // (g * g)
+
+
 def naive_cf_terms(x: QuadraticSurd, count: int) -> list[int]:
     """First partial quotients by repeated floor / subtract / invert."""
     terms = []

@@ -275,6 +275,23 @@ def test_usage_errors_answer_in_under_a_kilobyte(verb, args):
     assert len(json.dumps(got)) < 1000
 
 
+def nested(depth: int, value=1):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("verb, key", [
+    ("cf.expand", "theta"), ("cf.value", "period"), ("curve.j", "A"), ("dimgroup.compare", "e1"),
+])
+def test_arguments_nested_as_deep_as_the_recursion_limit(verb, key):
+    # quoting such a value in a message passes the recursion limit; main
+    # reaches it too, from a batch nested about 990 deep in its JSON text
+    (got,) = run_batch([{"id": 0, "verb": verb, "args": {key: nested(1000)}}])
+    assert got["status"] == "error" and got["kind"] != "internal", got["message"]
+    assert len(got["message"]) < 200
+
+
 S_1400 = 10**1400  # A = -3s^2, B = 2s^3 is singular, each within the digit limit
 
 
@@ -623,6 +640,68 @@ def test_sized_inputs_answer_in_bounded_time(verb, size, gap, alarm):
         if value["status"] == "ok":
             got = answered(verb, {"theta1": "(1+sqrt(5))/2", "theta2": value["result"]["value"]})
             assert got["status"] == "error" or got["result"]["equivalent"] is True
+
+
+# The other verbs' arguments at the same sizes: surd literals, curve
+# coefficients and cf terms of up to 4300 digits, the most the interpreter
+# reads, some drawn on a log scale; phi up to rank 130 or with 4300-digit
+# entries; a convergent count past where the convergents stop printing.
+N_4300 = 10**4300 - 1
+B_4300 = 10**4299 + 7
+_SIZES = random.Random(25)
+DIGITS = [4300] + [round(10 ** _SIZES.uniform(0, 3.63)) for _ in range(2)]
+
+
+def digits(n: int) -> str:
+    """A seeded random integer of n digits, as text."""
+    return str(_SIZES.randrange(10 ** (n - 1), 10**n))
+
+
+# Literals with 4300-digit parts.  (N + sqrt(2))/N = 1 + sqrt(2)/N,
+# B*sqrt(2) and the random (a - b*sqrt(5))/r pass the term budget in their
+# periods, in 0.35-0.7 s each, so each verb gets one of them; sqrt(B) is a
+# SurdError on parsing.  A theta2 over another radicand than theta1's is
+# refused before its period is walked.
+SLOW = f"({N_4300}+sqrt(2))/{N_4300}"
+FIELD_5 = [f"({digits(n)}-{digits(n)}*sqrt(5))/{digits(n)}" for n in DIGITS]
+LITERALS = [SLOW, f"{digits(4300)}*sqrt(2)", f"sqrt({digits(4300)})"] + FIELD_5
+SIZED_OTHERS = [
+    pytest.param("cf.expand", {"theta": SLOW}, id="expand-preperiod-over-budget"),
+    pytest.param("torus.invariant", {"theta": LITERALS[1]}, id="invariant-over-budget"),
+] + [
+    pytest.param(verb, {"theta": LITERALS[2]}, id=f"{verb}-unparsed")
+    for verb in ("cf.expand", "torus.invariant")
+] + [
+    pytest.param("torus.iso", {"theta1": x, "theta2": y}, id=f"iso-{i}-{order}")
+    for i, x in enumerate(LITERALS) for order, (x, y) in enumerate([(x, "sqrt(2)"), ("sqrt(5)", x)])
+] + [
+    pytest.param("torus.morita", {"theta1": x, "theta2": y}, id=f"morita-{name}")
+    for name, x, y in [("sqrt(2)-slow", "sqrt(2)", SLOW), ("5-4300-first", FIELD_5[0], "sqrt(5)"),
+                       ("unparsed-first", LITERALS[2], "sqrt(2)"),
+                       ("unparsed-second", "sqrt(2)", LITERALS[2])]
+                      + [(f"sqrt(5)-{n}", "sqrt(5)", x) for n, x in zip(DIGITS, FIELD_5)]
+] + [
+    pytest.param(verb, {"A": digits(n), "B": f"-{digits(n)}/{digits(n)}", "t": digits(n),
+                        "A1": digits(n), "B1": digits(n), "A2": f"{digits(n)}/7", "B2": "1"},
+                 id=f"{verb}-{n}")
+    for verb in ("curve.j", "curve.twist", "curve.iso", "curve.twist-between") for n in DIGITS
+] + [
+    pytest.param(verb, {"phi": phi, "vector": [1, -1] + [0] * (len(phi) - 2),
+                        "e1": {"vector": [1] * len(phi)},
+                        "e2": {"stage": 1, "vector": [1] * len(phi)}}, id=f"{verb}-{name}")
+    for verb in ("dimgroup.positive", "dimgroup.compare")
+    for name, phi in [("rank-130", random_matrix(130)),
+                      ("4300-digits", ones_off(B_4300, B_4300 - 1, 1))]
+] + [
+    pytest.param("cf.convergents", {"terms": [B_4300, B_4300 + 1], "count": 2}, id="terms"),
+    pytest.param("cf.convergents", {"period": [B_4300, 1], "count": 40}, id="period"),
+    pytest.param("cf.convergents", {"period": [2], "count": 25000}, id="count-25000"),
+]
+
+
+@pytest.mark.parametrize("verb, args", SIZED_OTHERS)
+def test_sized_arguments_of_the_other_verbs(verb, args, alarm):
+    answered(verb, {k: v for k, v in args.items() if k in VERB_ARGS[verb]})
 
 
 class TestUnprintableResults:

@@ -1,7 +1,9 @@
+import random
 import sys
 import threading
 import time
 from fractions import Fraction
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -22,9 +24,16 @@ from twistlab.contfrac import (
     least_rotation,
     value_of,
 )
-from twistlab.surd import QuadraticSurd
+from twistlab.surd import QuadraticSurd, parse_surd
 
-from oracles import naive_cf_terms, quad_floor_invert, quad_of, quad_sign
+from oracles import (
+    naive_cf_terms,
+    primitive_discriminant,
+    quad_floor_invert,
+    quad_of,
+    quad_sign,
+    squarefree_up_to,
+)
 
 S = QuadraticSurd.normalize
 
@@ -201,6 +210,35 @@ class TestExpandSurd:
         while q < digits:
             x, q = 3 * x + 4 * q, 2 * x + 3 * q
         assert expand_surd(S(0, q, 1, 2)) == EventuallyPeriodicCF((x,), (2 * x,))
+
+
+class TestLeastStates:
+    """_reduced_state returns the least state (P + sqrt(D))/Q: content
+    gcd(P, Q, (D - P^2)/Q) = 1, so D is the discriminant of the primitive
+    form of theta when that is odd and a quarter of it when it is even."""
+
+    def test_content_one_and_radicand_from_the_discriminant(self):
+        rng = random.Random(25)
+        ds = squarefree_up_to(200)
+        for _ in range(3000):
+            q = rng.choice((-1, 1)) * rng.randint(2, 30)
+            p, r, d = rng.randint(-1000, 1000), rng.randint(1, 60), rng.choice(ds)
+            x = S(p, q, r, d)
+            _, P, Q, D = contfrac._reduced_state(x)
+            disc = primitive_discriminant(x.p, x.q, x.r, x.d)
+            assert gcd(gcd(P, Q), (D - P * P) // Q) == 1, x
+            assert D == (disc if disc % 2 else disc // 4), x
+
+    @pytest.mark.parametrize(
+        "theta,state",
+        [
+            # scaled by r^2 = 16 and 36, these are states over 112 and 180 of content 2
+            ("(1+sqrt(7))/4", (5, 1, 28)),
+            ("(3+sqrt(5))/6", (5, 10, 45)),
+        ],
+    )
+    def test_pinned_first_reduced_states(self, theta, state):
+        assert contfrac._reduced_state(parse_surd(theta))[1:] == state
 
 
 def held_ints(record) -> tuple[int, ...]:

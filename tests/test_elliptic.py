@@ -46,13 +46,14 @@ class TestConstruction:
     def test_singular_message(self):
         with pytest.raises(SingularCurveError, match=r"^singular curve: A=-3/4, B=1/4$"):
             E(F(-3, 4), F(1, 4))
-        # s = 7^2400: B = 2 s^3 has 6085 digits, past the default digit limit
+        # s = 7^2400: A = -3 s^2 has 4058 characters, clipped; B = 2 s^3 has
+        # 6085 digits, past the default digit limit, and gets the fixed text
         s = 7**2400
         with pytest.raises(SingularCurveError) as caught:
             E(-3 * s * s, 2 * s**3)
         assert str(caught.value) == (
-            "singular curve: A or B too long to print: "
-            "integer longer than the limit of 4300 digits"
+            f"singular curve: A={str(-3 * s * s)[:100]}... (3958 more characters), "
+            "B=<value with an integer longer than the limit of 4300 digits>"
         )
 
     def test_zero_twist_parameter_rejected(self):

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run on the library they ship with."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistlab
+from twistlab.cli import VERBS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -52,3 +54,13 @@ def test_tail_classes_are_cycles():
         assert size == len(period.split("(")[1].split(",")), line
         members += size
     assert lines[0] == f"{len(lines) - 2} tail classes among the {members} reduced (P + sqrt(1000))/Q"
+
+
+def test_size_sweep_reports_every_verb():
+    """A 2-s sweep gives every verb at least one entry, each answered or
+    a typed error within the alarm, and exits 0."""
+    (line,) = run_script("size_sweep.py", ["--seconds", "2", "--seed", "1"])
+    report = json.loads(line)
+    assert report["failures"] == []
+    assert set(report["verbs"]) == set(VERBS)
+    assert all(record["entries"] >= 1 and "slowest" in record for record in report["verbs"].values())

@@ -1,6 +1,4 @@
 import random
-from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +188,16 @@ class TestMoritaInvariant:
             t = apply_mobius(UnimodularWitness(*random_word(rng)), base)
             assert morita_invariant(t) == expected
 
+    def test_images_keep_the_least_radicand(self):
+        # the least state's radicand is a class invariant
+        rng = random.Random(25)
+        ds = squarefree_up_to(200)
+        for _ in range(500):
+            q = rng.choice((-1, 1)) * rng.randint(2, 30)
+            t = TorusParameter(S(rng.randint(-1000, 1000), q, rng.randint(1, 60), rng.choice(ds)))
+            image = apply_mobius(UnimodularWitness(*random_word(rng)), t)
+            assert image.reduced[3] == t.reduced[3], (t, image)
+
 
 def counts(walks: dict) -> dict:
     return {name: len(args) for name, args in walks.items()}
@@ -259,8 +267,8 @@ class TestOneExpansionPerParameter:
         assert "cycle" not in vars(t2) and "reduced" not in vars(t2)
 
     def test_large_conductor_walks_over_theta1s_radicand(self, walks):
-        # theta2's first reduced quotient lies over 10^600 * 100003; rescaled
-        # to 100003 it is not integral, so no cycle is walked over its radicand
+        # theta2's least first reduced quotient lies over 10^600 * 100003, not
+        # theta1's 100003, so no cycle is walked over its radicand
         t1 = TorusParameter(parse_surd("sqrt(100003)"))
         t2 = TorusParameter(parse_surd(f"{10**300}*sqrt(100003)"))
         assert morita_equivalent(t1, t2) is None
@@ -347,19 +355,14 @@ class TestAgainstBruteForce:
 
 def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
     """Which test of the one-cycle lookup answers a pair with no tail in
-    common, read off the parameters' first reduced quotients."""
+    common, read off the parameters' least first reduced quotients."""
     if t1.theta.d != t2.theta.d:
         return "other field"
-    _, _, _, D1 = t1.reduced
     _, P2, Q2, D2 = t2.reduced
-    M = Fraction(isqrt(D1 * D2), D2)  # M1/M2 for D_i = M_i^2 * d
-    if (P2 * M).denominator > 1 or (Q2 * M).denominator > 1:
-        return "not integral over D1"
-    P, Q = int(P2 * M), int(Q2 * M)
-    if (D1 - P * P) % Q:
-        return "Q does not divide D1 - P^2"
+    if t1.reduced[3] != D2:
+        return "other radicand"
     L = len(t1.cycle.period)
-    return "cycle longer than L" if contfrac._cycle(P, Q, D1, L) is None else "other cycle"
+    return "cycle longer than L" if contfrac._cycle(P2, Q2, D2, L) is None else "other cycle"
 
 
 def transfer(w1, w2) -> tuple[int, int, int, int]:
@@ -407,8 +410,7 @@ class TestAgainstTwoPeriods:
                 key = "equivalent"
             branches[key] = branches.get(key, 0) + 1
         assert set(branches) == {
-            "equivalent", "other field", "not integral over D1",
-            "Q does not divide D1 - P^2", "cycle longer than L", "other cycle",
+            "equivalent", "other field", "other radicand", "cycle longer than L", "other cycle",
         }, branches
 
 
