@@ -40,8 +40,12 @@ def _arg(args: dict, key: str):
 
 
 def _surd_arg(args: dict, key: str) -> surd.QuadraticSurd:
-    value = _arg(args, key)  # an array or object fails at column 0, however deep
-    return surd.parse_surd(clipped(value) if isinstance(value, (list, dict)) else str(value))
+    """A surd literal, given as a JSON string; a number, bool, null,
+    array or object is a usage error, never read as text."""
+    value = _arg(args, key)
+    if not isinstance(value, str):
+        raise UsageError(f"argument '{key}' must be a surd literal string, got {clipped(value, repr)}")
+    return surd.parse_surd(value)
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")

@@ -216,10 +216,13 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     expansions: the preperiod is the walk to the first reduced state
     (_reduced_state), and the period is the walk from that state back to
     itself (_cycle).  An expansion of more than _term_budget(D) terms in
-    all raises CFError.
+    all raises CFError.  The walks leave nothing for EventuallyPeriodicCF's
+    checks to find: the period is the first return, so primitive; every
+    term after a0 is the floor of a complete quotient above 1; and the
+    preperiod, ending at the first reduced state, is minimal.
     """
     reduced = _reduced_state(x)
-    return EventuallyPeriodicCF(reduced[0], _periodic(reduced).period)
+    return EventuallyPeriodicCF._canonical(preperiod=reduced[0], period=_periodic(reduced).period)
 
 
 def _periodic(reduced: tuple) -> _Cycle:

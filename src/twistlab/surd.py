@@ -24,18 +24,22 @@ _TRIAL_BOUND = 10_000
 # factored random 96-bit semiprimes in 0.25-0.9 s on a 2-vCPU Xeon VM,
 # 100-bit ones in up to 2 s; the time keeps growing with the size.
 _FACTOR_BITS = 96
-_primes_cache: list[int] = []
+# The primes below _TRIAL_BOUND and, in a parallel list, their cubes, at
+# which trial division stops; built on first use and published whole.
+_trial: tuple[list[int], list[int]] | None = None
 
 
-def _small_primes() -> list[int]:
-    if not _primes_cache:
+def _trial_divisors() -> tuple[list[int], list[int]]:
+    global _trial
+    if _trial is None:
         flags = bytearray([1]) * (_TRIAL_BOUND + 1)
         flags[0] = flags[1] = 0
         for i in range(2, isqrt(_TRIAL_BOUND) + 1):
             if flags[i]:
                 flags[i * i :: i] = bytes(len(flags[i * i :: i]))
-        _primes_cache.extend(i for i, f in enumerate(flags) if f)
-    return _primes_cache
+        primes = [i for i, f in enumerate(flags) if f]
+        _trial = primes, [p * p * p for p in primes]
+    return _trial
 
 
 def _squarefree_decompose(d: int) -> tuple[int, int]:
@@ -55,8 +59,9 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
     the error.
     """
     s, sf = 1, 1
-    for p in _small_primes():
-        if p * p * p > d:
+    primes, cubes = _trial_divisors()
+    for p, cube in zip(primes, cubes):
+        if cube > d:
             break
         if d % p == 0:
             e = 1
@@ -126,8 +131,8 @@ class QuadraticSurd(Value):
             p, q = p + q, 0
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(p, q), r)
-        return QuadraticSurd(p // g, q // g, r // g, d if q else 1)
+        g = gcd(p, q, r)
+        return QuadraticSurd._canonical(p=p // g, q=q // g, r=r // g, d=d if q else 1)
 
     # -- predicates ---------------------------------------------------
 

@@ -9,10 +9,9 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
-from ._value import Value
+from ._value import Value, lazy
 from .contfrac import _Cycle, _cycle, _periodic, _reduced_state, _transfer
 from .errors import TorusError, clipped
 from .surd import QuadraticSurd
@@ -26,19 +25,19 @@ class TorusParameter(Value):
             raise TorusError("rotation parameter must be irrational")
         object.__setattr__(self, "theta", theta)
 
-    # cached_property writes the instance __dict__ directly, past the
-    # refused assignment: each parameter's preperiod is walked at most
-    # once, however many verbs ask.  Its cycle comes from contfrac's memo,
+    # a lazy field writes the instance __dict__ directly, past the refused
+    # assignment: each parameter's preperiod is walked at most once,
+    # however many verbs ask.  Its cycle comes from contfrac's memo,
     # walked once for all the parameters that enter it at the same state,
     # and rotated when a verb first reads the offset, while the memo keeps it.
-    @cached_property
+    @lazy
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
         """(preperiod, P, Q, D): theta's first reduced complete quotient
         as the least state (P + sqrt(D))/Q, D a square times theta.d, and
         the terms before it; the cycle and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
 
-    @cached_property
+    @lazy
     def cycle(self) -> _Cycle:
         """The cycle of theta's period, walked from its first reduced quotient."""
         return _periodic(self.reduced)
@@ -123,7 +122,18 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
-    if apply_mobius(m, t1).theta != t2.theta:
+    """m, once it is re-applied exactly: m(theta1) = theta2 is
+    a*theta1 + b = theta2*(c*theta1 + d), as c*theta1 + d is never 0 (theta1
+    is irrational and det = +-1).  For theta_i = (p_i + q_i*sqrt(k))/r_i over
+    one squarefree k, times r1*r2, that holds in Z[sqrt(k)] exactly when
+    its rational and its sqrt(k) parts agree, two integer identities.
+    Parameters over different radicands are never equivalent."""
+    x, y = t1.theta, t2.theta
+    a, b, c, d = m.a, m.b, m.c, m.d
+    p1, q1, r1, k, p2, q2, r2 = x.p, x.q, x.r, x.d, y.p, y.q, y.r
+    e = c * p1 + d * r1  # c*theta1 + d = (e + c*q1*sqrt(k))/r1
+    if (y.d != k or r2 * (a * p1 + b * r1) != p2 * e + q2 * c * q1 * k
+            or r2 * a * q1 != p2 * c * q1 + q2 * e):
         raise TorusError("internal: witness failed re-application check")
     return m
 

@@ -359,6 +359,25 @@ class TestStrictIntegers:
         assert got == run_command("dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [-1, 0]})
 
 
+class TestSurdLiteralStrings:
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(3, "3"), (2.5, "2.5"), (True, "True"), (None, "None"), (["sqrt(2)"], "['sqrt(2)']"),
+         ({"p": 1}, "{'p': 1}"), (nested(1000), "<value nested too deeply>")],
+        ids=["int", "float", "bool", "null", "array", "object", "nested"],
+    )
+    @pytest.mark.parametrize("verb, key", [
+        ("cf.expand", "theta"), ("torus.invariant", "theta"),
+        ("torus.morita", "theta1"), ("torus.iso", "theta2"),
+    ])
+    def test_non_string_theta_is_usage(self, verb, key, bad, shown):
+        # a JSON number is not read as literal text: 3 is not the integer 3
+        args = {"theta1": "sqrt(2)", "theta2": "sqrt(2)", key: bad}
+        (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
+        assert got == {"id": 0, "status": "error", "kind": "usage",
+                       "message": f"argument '{key}' must be a surd literal string, got {shown}"}
+
+
 class TestStrictRationals:
     @pytest.mark.parametrize(
         "bad",

@@ -29,6 +29,7 @@ from oracles import (
     mat_mul,
     mobius_by_operators,
     quad_equal,
+    quad_mobius,
     quad_of,
     squarefree_up_to,
     two_period_offsets,
@@ -170,6 +171,90 @@ class TestSL2Witness:
         assert sl2_witness(GOLDEN, SQRT2) is None
 
 
+def witness_pairs(seed: int, count: int = 40):
+    """Seeded (x1, x2, x3) in the oracle core: x1 an image of sqrt(d),
+    x2 and x3 two other images of x1, unequal to each other."""
+    rng = random.Random(seed)
+    fields = squarefree_up_to(1000)
+    for _ in range(count):
+        x1 = quad_mobius(random_word(rng, 8), (0, 1, 1, rng.choice(fields)))
+        x2 = quad_mobius(random_word(rng, 8), x1)
+        x3 = x2
+        while quad_equal(x3, x2):
+            x3 = quad_mobius(random_word(rng, 8), x1)
+        yield x1, x2, x3
+
+
+def param(x: tuple) -> TorusParameter:
+    return TorusParameter(S(*x))
+
+
+def off_by_one(m: tuple, i: int) -> tuple[int, int, int, int]:
+    """m with entry i moved by one, away from a zero bottom row."""
+    moved = list(m)
+    moved[i] += 1 if i < 2 or moved[2 + (i == 2)] or moved[i] != -1 else -1
+    return tuple(moved)
+
+
+class TestWitnessReapplication:
+    """torus._verified re-applies each witness exactly: every witness the
+    lookups return passes, and a wrong one raises TorusError.  Both sides
+    are judged by the oracle core, never by the library."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lookup_witnesses_pass(self, seed):
+        for x1, x2, _ in witness_pairs(seed):
+            t1, t2 = param(x1), param(x2)
+            found = [w for w in (morita_equivalent(t1, t2), sl2_witness(t1, t2)) if w]
+            assert found
+            for w in found:
+                m = entries(w)
+                assert quad_equal(quad_mobius(m, x1), x2)
+                assert torus._verified(w, t1, t2) is w
+                # -m is the same map, and passes too
+                minus = UnimodularWitness(*(-e for e in m))
+                assert quad_equal(quad_mobius(entries(minus), x1), x2)
+                assert torus._verified(minus, t1, t2) is minus
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wrong_witnesses_raise(self, seed):
+        for x1, x2, x3 in witness_pairs(seed):
+            t1, t2 = param(x1), param(x2)
+            a, b, c, d = m = entries(morita_equivalent(t1, t2))
+            # an entry off by one is seldom unimodular: it is built past
+            # the constructor's check, so that _verified alone judges it
+            wrong = [UnimodularWitness._canonical(**dict(zip("abcd", off_by_one(m, i))))
+                     for i in range(4)]
+            wrong.append(UnimodularWitness(a, b, -c, -d))  # the sign flipped: x1 -> -x2
+            wrong.append(morita_equivalent(t1, param(x3)))  # valid, aimed at x3 != x2
+            for w in wrong:
+                assert not quad_equal(quad_mobius(entries(w), x1), x2), entries(w)
+                with pytest.raises(TorusError):
+                    torus._verified(w, t1, t2)
+
+    @pytest.mark.parametrize("x1, other", [
+        ((0, 1, 1, 2), (0, 1, 1, 3)), ((13, -1, 6, 7), (13, -1, 6, 11)),
+    ], ids=["sqrt(2)-sqrt(3)", "(13-sqrt(7))/6-(13-sqrt(11))/6"])
+    def test_witness_into_another_field_raises(self, x1, other):
+        # the same p, q, r over another radicand: both integer identities
+        # hold for the identity matrix, so the radicands must be compared
+        w = UnimodularWitness(*IDENTITY)
+        assert not quad_equal(quad_mobius(IDENTITY, x1), other)
+        with pytest.raises(TorusError):
+            torus._verified(w, param(x1), param(other))
+
+    def test_verbs_reapply_the_witness(self, monkeypatch):
+        # a lookup whose words were wrong is caught before it answers
+        def shifted(w1, w2):
+            return mat_mul(GEN_S, contfrac._transfer(w1, w2))
+
+        monkeypatch.setattr(torus, "_transfer", shifted)
+        with pytest.raises(TorusError, match="re-application"):
+            morita_equivalent(SQRT2, TorusParameter(S(1, 1, 1, 2)))
+        entry = {"id": 0, "verb": "torus.morita", "args": {"theta1": "sqrt(2)", "theta2": "1+sqrt(2)"}}
+        assert run_batch([entry])[0]["kind"] == "TorusError"
+
+
 class TestMoritaInvariant:
     def test_sqrt2(self):
         assert morita_invariant(SQRT2) == (2,)
@@ -302,15 +387,22 @@ class TestOneExpansionPerParameter:
 
     def test_torus_verbs_build_no_expansion(self, monkeypatch):
         # the torus verbs read a parameter's reduced state and cycle; only
-        # cf.expand builds an EventuallyPeriodicCF, here from the kept cycle
+        # cf.expand builds an EventuallyPeriodicCF, here from the kept
+        # cycle, through the constructor or past its checks
         built = []
-        init = contfrac.EventuallyPeriodicCF.__init__
+        cls = contfrac.EventuallyPeriodicCF
+        init, canonical = cls.__init__, cls._canonical
 
         def counted(self, *args):
             built.append(args)
             init(self, *args)
 
-        monkeypatch.setattr(contfrac.EventuallyPeriodicCF, "__init__", counted)
+        def counted_canonical(cls, **fields):
+            built.append(fields)
+            return canonical(**fields)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "_canonical", classmethod(counted_canonical))
         theta = "(1+sqrt(100003))/2"
         batch = [
             ("torus.invariant", {"theta": theta}),

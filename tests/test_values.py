@@ -73,6 +73,17 @@ def test_fields_refuse_assignment(cls, kwargs, text, other):
     assert x == cls(**kwargs)
 
 
+@pytest.mark.parametrize("cls,kwargs,text,other", CASES, ids=IDS)
+def test_canonical_builds_the_constructed_instance(cls, kwargs, text, other):
+    """Value._canonical builds, past __init__'s checks, the value the
+    constructor builds from the same canonical fields."""
+    x = cls(**kwargs)
+    y = cls._canonical(**{name: getattr(x, name) for name in cls._fields})
+    assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
+    with pytest.raises(AttributeError):
+        y.extra = 1
+
+
 def test_cached_expansion_leaves_parameter_unchanged():
     t = TorusParameter(SQRT2)
     assert t.reduced[0] == (1,) and t.cycle.period == (2,) and t.cycle.offset == 0
