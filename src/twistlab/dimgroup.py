@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import cycle
 from math import gcd
 from operator import or_
@@ -23,7 +23,7 @@ from typing import Optional
 # the other layers through their module objects: each loads only when a
 # verb first calls into it, so a group given by phi loads none of them
 from . import contfrac, surd, torus
-from ._value import Value, lazy
+from ._value import Value
 from .errors import (
     DimGroupError, NotCFTypeError, NotPrimitiveMatrixError, SingularMatrixError, clipped,
 )
@@ -131,9 +131,9 @@ class StationaryDimensionGroup(Value):
         object.__setattr__(g, "_word", word)
         return g
 
-    # a lazy field writes the instance __dict__ past the refused
+    # cached_property writes the instance __dict__ past the refused
     # assignment, and __init__'s phi there shadows this one
-    @lazy
+    @cached_property
     def phi(self) -> Matrix:
         m11, m12, m21, m22 = contfrac._mobius_matrix(self._word)
         return ((m11, m12), (m21, m22))

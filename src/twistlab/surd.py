@@ -24,22 +24,18 @@ _TRIAL_BOUND = 10_000
 # factored random 96-bit semiprimes in 0.25-0.9 s on a 2-vCPU Xeon VM,
 # 100-bit ones in up to 2 s; the time keeps growing with the size.
 _FACTOR_BITS = 96
-# The primes below _TRIAL_BOUND and, in a parallel list, their cubes, at
-# which trial division stops; built on first use and published whole.
-_trial: tuple[list[int], list[int]] | None = None
+_primes_cache: list[int] = []
 
 
-def _trial_divisors() -> tuple[list[int], list[int]]:
-    global _trial
-    if _trial is None:
+def _small_primes() -> list[int]:
+    if not _primes_cache:
         flags = bytearray([1]) * (_TRIAL_BOUND + 1)
         flags[0] = flags[1] = 0
         for i in range(2, isqrt(_TRIAL_BOUND) + 1):
             if flags[i]:
                 flags[i * i :: i] = bytes(len(flags[i * i :: i]))
-        primes = [i for i, f in enumerate(flags) if f]
-        _trial = primes, [p * p * p for p in primes]
-    return _trial
+        _primes_cache.extend(i for i, f in enumerate(flags) if f)
+    return _primes_cache
 
 
 def _squarefree_decompose(d: int) -> tuple[int, int]:
@@ -59,9 +55,8 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
     the error.
     """
     s, sf = 1, 1
-    primes, cubes = _trial_divisors()
-    for p, cube in zip(primes, cubes):
-        if cube > d:
+    for p in _small_primes():
+        if p * p * p > d:
             break
         if d % p == 0:
             e = 1
