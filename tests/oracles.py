@@ -156,6 +156,36 @@ def naive_cf_terms(x: QuadraticSurd, count: int) -> list[int]:
     return terms
 
 
+def sqrt_period(d: int, limit: int) -> tuple[int, ...] | None:
+    """The period of sqrt(d), d not a square, by naive_cf_terms: the terms
+    after a0 up to the first 2*a0; None when it is longer than limit."""
+    terms = naive_cf_terms(QuadraticSurd.normalize(0, 1, 1, d), limit + 1)
+    if 2 * terms[0] not in terms[1:]:
+        return None
+    return tuple(terms[1:terms.index(2 * terms[0], 1) + 1])
+
+
+def long_periodic_words(rng, count: int, low: int = 20, high: int = 400, max_pre: int = 150):
+    """count (preperiod, period) words of a canonical periodic expansion:
+    a rotation of the period of sqrt(d) for a random d, low <= L <= high,
+    after a preperiod of up to max_pre terms (a0 in [-50, 50], the rest in
+    1..9) whose last term differs from the period's."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(10**3, 10**6)
+        period = sqrt_period(d, high) if isqrt(d) ** 2 != d else None
+        if period is None or len(period) < low:
+            continue
+        k = rng.randrange(len(period))
+        period = period[k:] + period[:k]
+        n = rng.randint(0, max_pre)
+        pre = [rng.randint(-50, 50), *(rng.randint(1, 9) for _ in range(n - 1))][:n]
+        if pre and pre[-1] == period[-1]:
+            pre[-1] += 1
+        out.append((tuple(pre), period))
+    return out
+
+
 def _normalize_sign(m: tuple) -> tuple[int, int, int, int]:
     """M and -M act identically; fix the sign of the first nonzero entry."""
     lead = next(e for e in m if e != 0)

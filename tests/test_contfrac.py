@@ -27,12 +27,16 @@ from twistlab.contfrac import (
 from twistlab.surd import QuadraticSurd, parse_surd
 
 from oracles import (
+    IDENTITY,
+    long_periodic_words,
+    mat_mul,
     naive_cf_terms,
     primitive_discriminant,
     quad_floor_invert,
     quad_of,
     quad_sign,
     squarefree_up_to,
+    word_matrix,
 )
 
 S = QuadraticSurd.normalize
@@ -431,6 +435,57 @@ class TestValueOf:
         assert contfrac._mobius_matrix((1,) * 50000)[1] > 10**10000
         for a0 in (10**4000, -10**4000):
             assert value_of(FiniteCF((a0,) + (1,) * 30000 + (2,))).r > 10**6000
+
+    def test_long_words_round_trip(self):
+        # rotations of periods of sqrt(d) of 20 to 400 terms after up to
+        # 150 preperiod terms: both products run in leaves
+        for pre, period in long_periodic_words(random.Random(28), 12):
+            cf = EventuallyPeriodicCF(pre, period)
+            assert expand_surd(value_of(cf)) == cf
+
+
+class TestWordProduct:
+    """_mobius_matrix against the plain product of oracles.word_matrix, on
+    both sides of the length at which leaves start and across every leaf
+    boundary."""
+
+    MS = (1, 2, 10, 30)
+    STARTS = (IDENTITY, contfrac._mobius_matrix((-(2**30 - 1), 3, 1, 2)))
+
+    def check(self, word, start):
+        assert contfrac._mobius_matrix(word, start) == mat_mul(start, word_matrix(word))
+
+    def test_every_length(self):
+        rng = random.Random(28)
+        for m in self.MS:
+            a = 2**m - 1
+            for n in range(3 * contfrac._LEAF + 2):
+                a0 = rng.choice((-a, 0, 1, a))
+                word = ((a0,) + tuple(rng.choice((1, a)) for _ in range(n - 1)))[:n]
+                self.check(word, rng.choice(self.STARTS))
+
+    def test_heavy_terms(self):
+        # -10^4299 as a0, and 10^4299 last and on either side of each leaf
+        # boundary, among ones: its leaf runs term by term, the others in lanes
+        leaf, big = contfrac._LEAF, 10**4299
+        for n in (contfrac._LEAVES_FROM, leaf, leaf + 1, 3 * leaf + 1):
+            for i in {0, leaf - 1, leaf, 2 * leaf - 1, 2 * leaf, n - 1}:
+                if i < n:
+                    word = [1] * n
+                    word[i] = big if i else -big
+                    for start in self.STARTS:
+                        self.check(tuple(word), start)
+
+    def test_words_that_fill_the_low_lane(self):
+        # (0, a, ..., a): for m = 10 an entry of the first leaf's second row
+        # has W bits, more than lanes of W bits hold with a sign (terms of
+        # m = 30 bits run term by term)
+        leaf = contfrac._LEAF
+        for m in self.MS:
+            for n in (contfrac._LEAVES_FROM, leaf - 1, leaf, leaf + 1, 3 * leaf + 1):
+                word = (0,) + (2**m - 1,) * (n - 1)
+                for start in self.STARTS:
+                    self.check(word, start)
 
 
 class TestConvergents:

@@ -31,7 +31,7 @@ from twistlab.dimgroup import (
 from twistlab.surd import QuadraticSurd
 from twistlab.torus import apply_mobius
 
-from oracles import iteration_verdict, perron_verdict
+from oracles import iteration_verdict, long_periodic_words, perron_verdict, word_matrix
 
 S = QuadraticSurd.normalize
 FIB = from_matrix([[1, 1], [1, 0]])
@@ -169,6 +169,11 @@ class TestFromCFPeriod:
 
     def test_word_product(self):
         assert from_cf_period((1, 2)).phi == ((3, 1), (2, 1))
+
+    def test_long_words_against_the_oracle(self):
+        # periods of 20 to 400 terms, multiplied in leaves
+        for _, period in long_periodic_words(random.Random(28), 12):
+            assert sum(from_cf_period(period).phi, ()) == word_matrix(period)
 
     def test_always_shift_automorphism(self):
         for word in [(1,), (3,), (1, 2), (2, 1, 1), (4, 3, 2, 1)]:

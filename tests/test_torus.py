@@ -24,6 +24,7 @@ from oracles import (
     IDENTITY,
     brute_force_equivalent,
     entries,
+    long_periodic_words,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -443,6 +444,34 @@ class TestAgainstBruteForce:
     def test_negative_pair(self):
         assert morita_equivalent(SQRT2, GOLDEN) is None
         assert brute_force_equivalent(SQRT2, GOLDEN, length=8) is None
+
+
+class TestLongWitnessWords:
+    def test_witnesses_map_theta1_to_theta2(self, monkeypatch):
+        # two preperiods of 28 to 150 terms before rotations of one period
+        # of sqrt(d): both witness words run in leaves
+        fed, product = [], contfrac._mobius_matrix
+
+        def recorded(terms, *start):
+            fed.append(len(terms))
+            return product(terms, *start)
+
+        rng = random.Random(28)
+        for _, period in long_periodic_words(rng, 8):
+            cfs = []
+            for _ in range(2):
+                k = rng.randrange(len(period))
+                pre = [rng.randint(-50, 50)] + [rng.randint(1, 9) for _ in range(rng.randint(27, 149))]
+                rotation = period[k:] + period[:k]
+                pre[-1] += pre[-1] == rotation[-1]
+                cfs.append(contfrac.EventuallyPeriodicCF(pre, rotation))
+            t1, t2 = (TorusParameter(contfrac.value_of(cf)) for cf in cfs)
+            fed.clear()
+            monkeypatch.setattr(contfrac, "_mobius_matrix", recorded)
+            witness = morita_equivalent(t1, t2)
+            monkeypatch.undo()
+            assert min(fed) >= contfrac._LEAVES_FROM
+            assert quad_equal(quad_mobius(entries(witness), quad_of(t1.theta)), quad_of(t2.theta))
 
 
 def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
