@@ -227,11 +227,15 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
 
 def _periodic(reduced: tuple) -> _Cycle:
     """The cycle through the first reduced state of the surd whose
-    _reduced_state (preperiod, P, Q, D) is reduced."""
+    _reduced_state (preperiod, P, Q, D) is reduced; CFError when its
+    period is longer than the budget left after the preperiod.  The cycle
+    is walked for up to the whole budget whatever the preperiod, so that
+    its record depends on the state alone: an expansion over budget stops
+    within its preperiod plus the budget."""
     preperiod, P, Q, D = reduced
     budget = _term_budget(D)
-    found = _cycle(P, Q, D, budget - len(preperiod))
-    if found is None:
+    found = _cycle(P, Q, D)
+    if found is None or len(found.period) > budget - len(preperiod):
         raise CFError(f"expansion longer than the budget of {budget} terms")
     return found
 
@@ -259,7 +263,7 @@ class _Cycle:
 
 
 # Most machine words the cycle memo holds.  A record's k ints (a cycle's
-# terms or a passed cap, and P, Q and D) of b bits in all count k + b // 64
+# terms, if any, and P, Q and D) of b bits in all count k + b // 64
 # words, at least the words they hold, and the record _CYCLE_WORDS more
 # for its objects, its dict slot and its ints' headers.  A pass of the
 # tails benchmark holds about 10^4 words, and of verbs-mixed about
@@ -268,53 +272,52 @@ class _Cycle:
 CYCLE_MEMO_WORDS = 1 << 16
 # tracemalloc found 33-40 words a cycle besides its ints' words, the
 # dict's spare slots included, in memos of 3000-6000 one-term cycles with
-# their offsets read, and 23 words a passed cap (CPython 3.11)
+# their offsets read, and 10-20 words a None record in memos of 3000-6000
+# states of sqrt(d), d near 10^3 and 10^6 (CPython 3.11)
 _CYCLE_WORDS = 40
 
-# (P, Q, D) of a reduced state -> the _Cycle walked from it, or the
-# longest cap a walk from it passed without coming back.  A cycle is kept
-# under the state its walk started from, so a cycle entered at several of
-# its states is kept once for each.
-_cycles: dict[tuple[int, int, int], Union[_Cycle, int]] = {}
+# (P, Q, D) of a reduced state -> the _Cycle walked from it, or None when
+# the walk passed _term_budget(D) steps without coming back: each record
+# depends on its state alone, TERM_BUDGET being fixed for the process.  A
+# cycle is kept under the state its walk started from, so a cycle entered
+# at several of its states is kept once for each.
+_cycles: dict[tuple[int, int, int], Optional[_Cycle]] = {}
 _cycle_words = 0
 _cycle_lock = Lock()
+_UNSEEN = object()
 
 
-def _cycle(P: int, Q: int, D: int, cap: int) -> Optional[_Cycle]:
+def _cycle(P: int, Q: int, D: int) -> Optional[_Cycle]:
     """The cycle walked from the reduced state (P, Q) over D back to
-    itself, or None when its period is longer than cap terms.  It depends
-    on the state alone, so it is walked once and then read from the memo
-    while the memo keeps it; so is a walk that passed its cap, which
-    answers None at once to any cap no larger.  When keeping a record
-    would pass CYCLE_MEMO_WORDS, the memo is emptied first; a record
-    heavier than that on its own is never kept."""
+    itself, or None when its period is longer than _term_budget(D) terms.
+    Either depends on the state alone, so it is walked once and then read
+    from the memo while the memo keeps it.  When keeping a record would
+    pass CYCLE_MEMO_WORDS, the memo is emptied first; a record heavier
+    than that on its own is never kept."""
     state = P, Q, D
-    found = _cycles.get(state)
-    if found is None or isinstance(found, int) and found < cap:
-        period = _walk(P, Q, D, cap)
-        found = cap if period is None else _Cycle(period)
+    # one read: a test and then a read could race a clear in another thread
+    found = _cycles.get(state, _UNSEEN)
+    if found is _UNSEEN:
+        period = _walk(P, Q, D, (P, Q), _term_budget(D))
+        found = None if period is None else _Cycle(period)
         _keep(state, found)
-    return None if isinstance(found, int) or len(found.period) > cap else found
+    return found
 
 
-def _words(state: tuple[int, int, int], record: Union[_Cycle, int]) -> int:
-    ints = (record,) if isinstance(record, int) else record.period
-    bits = sum(map(int.bit_length, ints)) + sum(map(int.bit_length, state))
-    return _CYCLE_WORDS + len(ints) + 3 + bits // 64
+def _words(state: tuple[int, int, int], record: Optional[_Cycle]) -> int:
+    ints = state if record is None else state + record.period
+    return _CYCLE_WORDS + len(ints) + sum(map(int.bit_length, ints)) // 64
 
 
-def _keep(state: tuple[int, int, int], record: Union[_Cycle, int]) -> None:
-    """Keep a cycle, or a passed cap, in place of a smaller passed cap."""
+def _keep(state: tuple[int, int, int], record: Optional[_Cycle]) -> None:
+    """Keep a record, unless another thread kept one for its state first."""
     global _cycle_words
     words = _words(state, record)
     if words > CYCLE_MEMO_WORDS:
         return
     with _cycle_lock:  # another thread may keep or clear between the lookup and here
-        held = _cycles.get(state)
-        if held is not None:
-            if not isinstance(held, int) or isinstance(record, int) and record <= held:
-                return
-            _cycle_words -= _words(state, held)
+        if state in _cycles:
+            return
         if _cycle_words + words > CYCLE_MEMO_WORDS:
             _cycles.clear()
             _cycle_words = 0
@@ -330,19 +333,20 @@ def _clear_cycles() -> None:
         _cycle_words = 0
 
 
-def _walk(P: int, Q: int, D: int, cap: int) -> Optional[tuple[int, ...]]:
+def _walk(P: int, Q: int, D: int, to: tuple[int, int], cap: int) -> Optional[tuple[int, ...]]:
     """The terms of the state recursion from the reduced state (P, Q) over
-    D until it first comes back to (P, Q): its period; None past cap steps.
-    A reduced state stays reduced, so each floor is (P + isqrt(D)) // Q."""
+    D until it first reaches the state `to`: from a state back to itself,
+    its period; None past cap steps.  A reduced state stays reduced, so
+    each floor is (P + isqrt(D)) // Q."""
     root = isqrt(D)
-    P0, Q0 = P, Q
+    P1, Q1 = to
     terms: list[int] = []
     for _ in repeat(None, cap):
         a = (P + root) // Q
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-        if P == P0 and Q == Q0:
+        if P == P1 and Q == Q1:
             return tuple(terms)
     return None
 

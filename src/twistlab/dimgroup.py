@@ -125,12 +125,6 @@ class StationaryDimensionGroup(Value):
     def __init__(self, phi: Matrix):
         object.__setattr__(self, "phi", phi)
 
-    @classmethod
-    def _of_word(cls, word: tuple[int, ...]) -> StationaryDimensionGroup:
-        g = cls.__new__(cls)
-        object.__setattr__(g, "_word", word)
-        return g
-
     # cached_property writes the instance __dict__ past the refused
     # assignment, and __init__'s phi there shadows this one
     @cached_property
@@ -176,7 +170,7 @@ def from_cf_period(period) -> StationaryDimensionGroup:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):
         raise DimGroupError(f"not primitive: {clipped(word)}")
-    return StationaryDimensionGroup._of_word(word)
+    return StationaryDimensionGroup._canonical(_word=word)
 
 
 def _check_vector(g: StationaryDimensionGroup, e: K0Element):

@@ -98,7 +98,7 @@ class QuadraticSurd(Value):
             raise SurdError("radicand must be >= 1")
         if (d == 1) != (q == 0):
             raise SurdError("rational surds must carry q = 0, d = 1")
-        if gcd(gcd(p, q), r) != 1:
+        if gcd(gcd(p, q), r) != 1 or d > 1 and isqrt(d) ** 2 == d:
             raise SurdError("surd tuple not reduced; use normalize()")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

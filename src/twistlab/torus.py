@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional
 
 from ._value import Value
-from .contfrac import _Cycle, _cycle, _periodic, _reduced_state, _transfer
+from .contfrac import _Cycle, _periodic, _reduced_state, _transfer, _walk
 from .errors import TorusError, clipped
 from .surd import QuadraticSurd
 
@@ -99,27 +99,26 @@ def _tail_offsets(t1: TorusParameter, t2: TorusParameter):
 
     By Galois's theorem the reduced complete quotients of theta1 form one
     cycle of the state recursion, and theta2 is equivalent exactly when
-    its first reduced quotient x lies on it: when x's cycle has the least
-    rotation of theta1's period, the normal form of the tail class
-    (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  Both states are
-    least (contfrac._reduced_state), so their radicands are a class
-    invariant: the fields and then the radicands D1 and D2 must agree, and
-    x's cycle, read within L = |p1| terms over D1 (contfrac._cycle), must
-    rotate to p1.  x then lies (k2 - k1) mod L steps before theta1's first
-    reduced quotient, for the least-rotation offsets k1 and k2, so w1 is
-    theta1's preperiod and w2 is theta2's followed by that many terms of
-    x's cycle.  Any shorter pair of such prefixes differs in length by the
-    same amount, so it gives the same witness."""
+    its first reduced quotient x lies on it (Buchmann & Vollmer, Binary
+    Quadratic Forms, ch. 6).  Both states are least
+    (contfrac._reduced_state), so their radicands are a class invariant:
+    the fields and then the radicands D1 and D2 must agree.  x lies on
+    the cycle exactly when the state recursion from x over D1 reaches
+    theta1's first reduced quotient within L = |p1| steps (contfrac._walk);
+    the s terms it walks end w2, and w1 is theta1's preperiod.  Any
+    shorter pair of such prefixes differs in length by the same amount,
+    so it gives the same witness."""
     if t1.theta.d != t2.theta.d:
         return None
-    c1 = t1.cycle
-    pre1, _, _, D1 = t1.reduced
+    period = t1.cycle.period
+    pre1, P1, Q1, D1 = t1.reduced
     pre2, P2, Q2, D2 = t2.reduced
-    L = len(c1.period)
-    c2 = _cycle(P2, Q2, D1, L) if D1 == D2 else None
-    if c2 is None or c2.least() != c1.least():
+    if D1 != D2:
         return None
-    return pre1, pre2 + c2.period[:(c2.offset - c1.offset) % L], c1.period
+    if (P1, Q1) == (P2, Q2):
+        return pre1, pre2, period
+    steps = _walk(P2, Q2, D1, (P1, Q1), len(period))
+    return None if steps is None else (pre1, pre2 + steps, period)
 
 
 def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness:
@@ -144,7 +143,7 @@ def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[Unimod
     for the prefix words, or None when the tail classes differ.
 
     Walks theta1's cycle and runs theta2 only to its first reduced quotient,
-    which is then looked up on theta1's cycle (_tail_offsets)."""
+    which then walks to theta1's (_tail_offsets)."""
     found = _tail_offsets(t1, t2)
     return _verified(UnimodularWitness(*_transfer(*found[:2])), t1, t2) if found else None
 

@@ -246,8 +246,9 @@ class TestLeastStates:
 
 
 def held_ints(record) -> tuple[int, ...]:
-    """A memo record's terms: a cycle's period, or the cap a walk passed."""
-    return (record,) if isinstance(record, int) else record.period
+    """A memo record's terms: a cycle's period, or none for a walk that
+    passed the term budget."""
+    return () if record is None else record.period
 
 
 def held_words() -> int:
@@ -291,7 +292,7 @@ class TestCycleMemo:
         # each of these cycles counts about 460 words
         for k in range(200):
             n = 10**1999 + k
-            found = contfrac._cycle(n, 1, n * n + 1, contfrac.TERM_BUDGET)
+            found = contfrac._cycle(n, 1, n * n + 1)
             assert (found.period, found.offset) == ((2 * n,), 0)
             assert held_words() <= contfrac._cycle_words <= contfrac.CYCLE_MEMO_WORDS
         assert len(contfrac._cycles) < 200
@@ -343,45 +344,69 @@ class TestCycleMemo:
         for k, expansions in got.items():
             assert expansions == want[k % 3:] + want[: k % 3]
 
+    # sqrt(94) = [9; (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)]; its
+    # first reduced state (9, 13, 94) is (9 + sqrt(94))/13, which is also
+    # reached after the two terms (0, 2) of LONGER
+    STATE = (9, 13, 94)
+    SHORTER = S(0, 1, 1, 94)
+    LONGER = value_of(EventuallyPeriodicCF((0, 2), (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)))
+
+    @staticmethod
+    def error(x) -> str:
+        with pytest.raises(CFError) as raised:
+            expand_surd(x)
+        return str(raised.value)
+
+    @pytest.fixture
+    def walked(self, monkeypatch) -> list:
+        """The start of each walk contfrac makes."""
+        starts, walk = [], contfrac._walk
+
+        def logged(P, Q, D, *rest):
+            starts.append((P, Q, D))
+            return walk(P, Q, D, *rest)
+
+        monkeypatch.setattr(contfrac, "_walk", logged)
+        return starts
+
     def test_over_budget_state_answers_alike_every_time(self, monkeypatch):
-        def error() -> str:
-            with pytest.raises(CFError) as raised:
-                expand_surd(S(0, 1, 1, 94))
-            return str(raised.value)
+        for budget, record in [(15, None), (16, 16)]:
+            contfrac._clear_cycles()
+            monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
+            message = f"expansion longer than the budget of {budget} terms"
+            assert self.error(self.SHORTER) == self.error(self.SHORTER) == message
+            # the record depends on the state alone: None when the cycle
+            # passes the budget, else the cycle, longer than the budget left
+            # after the one-term preperiod
+            (state, kept), = contfrac._cycles.items()
+            assert state == self.STATE
+            assert (None if kept is None else len(kept.period)) == record
+        # the state itself, with no preperiod, is within a budget of 16
+        assert len(expand_surd(S(9, 1, 13, 94)).period) == 16
+        assert self.error(self.SHORTER) == message
 
-        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
-        assert error() == error() == "expansion longer than the budget of 16 terms"
-        # sqrt(94)'s first reduced state, after its one-term preperiod, and
-        # the cap of 15 terms its walk passed
-        assert contfrac._cycles == {(9, 13, 94): 15}
-        # kept under a larger budget, the cycle is still over the smaller one
-        monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
-        assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
-        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
-        assert error() == "expansion longer than the budget of 16 terms"
+    def test_over_budget_state_is_walked_once(self, monkeypatch, walked):
+        # 40 words, P, Q and D, and the 16 terms of a kept cycle
+        for budget, words in [(15, 43), (16, 59)]:
+            contfrac._clear_cycles()
+            walked.clear()
+            monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
+            message = f"expansion longer than the budget of {budget} terms"
+            assert [self.error(self.SHORTER) for _ in range(2)] == [message] * 2
+            assert walked == [self.STATE] and contfrac._cycle_words == words
 
-    def test_over_budget_state_is_walked_once(self, monkeypatch):
-        caps, walked = [], contfrac._walk
-
-        def walk(P, Q, D, cap):
-            caps.append(cap)
-            return walked(P, Q, D, cap)
-
-        monkeypatch.setattr(contfrac, "_walk", walk)
-        monkeypatch.setattr(contfrac, "TERM_BUDGET", 16)
-        errors = []
-        for _ in range(2):
-            with pytest.raises(CFError) as raised:
-                expand_surd(S(0, 1, 1, 94))
-            errors.append(str(raised.value))
-        assert errors == ["expansion longer than the budget of 16 terms"] * 2
-        assert caps == [15] and contfrac._cycle_words == 44  # 40 + the cap, P, Q and D
-        # a larger cap walks again, and its cycle replaces the passed cap
-        monkeypatch.setattr(contfrac, "TERM_BUDGET", 17)
-        assert len(expand_surd(S(0, 1, 1, 94)).period) == 16
-        assert caps == [15, 16] and contfrac._cycle_words == 59
-        assert contfrac._cycles[9, 13, 94].period == expand_surd(S(0, 1, 1, 94)).period
-        assert caps == [15, 16]
+    @pytest.mark.parametrize("budget", [15, 16])
+    @pytest.mark.parametrize("first", ["SHORTER", "LONGER"])
+    def test_preperiods_of_either_length_share_the_record(self, monkeypatch, walked, budget, first):
+        # each parameter is over budget, and each reaches the state after
+        # its own preperiod; whichever comes first, the state is walked once
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
+        order = [first, "LONGER" if first == "SHORTER" else "SHORTER"]
+        message = f"expansion longer than the budget of {budget} terms"
+        for name in order * 2:
+            assert contfrac._reduced_state(getattr(self, name))[1:] == self.STATE
+            assert self.error(getattr(self, name)) == message
+        assert walked == [self.STATE]
 
 
 class TestValueOf:

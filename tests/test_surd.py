@@ -61,6 +61,13 @@ class TestNormalize:
         with pytest.raises(SurdError):
             S(1, 1, 1, -3)
 
+    @pytest.mark.parametrize("args", [(0, 1, 1, 4), (1, 2, 3, 9), (0, 1, 1, 10**40)])
+    def test_constructor_rejects_a_square_radicand(self, args):
+        # the value is rational; taken as irrational, its expansion divided
+        # by zero in contfrac._reduced_state
+        with pytest.raises(SurdError, match=r"^surd tuple not reduced; use normalize\(\)$"):
+            QuadraticSurd(*args)
+
     def test_square_cofactor_past_trial_division(self, monkeypatch):
         # 200280098 = 2 * 10007^2: trial division leaves 10007^2, whose
         # prime factors exceed its cube root, and the perfect-square check

@@ -30,6 +30,7 @@ from oracles import (
     mat_mul,
     mobius_by_operators,
     quad_equal,
+    quad_floor_invert,
     quad_mobius,
     quad_of,
     squarefree_up_to,
@@ -295,23 +296,27 @@ class TestOneExpansionPerParameter:
     for all the parameters and requests that enter it at the same state,
     and rotated once when a torus verb first reads its offset, while
     contfrac's memo keeps it (the memo starts each test empty).  A Morita
-    lookup expands theta1 only and runs theta2 to its first reduced
-    quotient, or not at all in another field."""
+    lookup expands theta1 only, runs theta2 to its first reduced quotient,
+    or not at all in another field, and walks that quotient to theta1's,
+    reading no cycle or rotation of theta2's."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
         """One argument of each call of contfrac's walks and of
         least_rotation: the surd a preperiod or an expansion starts from,
-        the radicand a cycle is walked over, the word rotated.  They are
-        patched where contfrac defines them and where torus imports them,
-        so that a walk contfrac makes for itself counts too."""
+        the radicand a cycle, or a walk to theta1's first reduced quotient,
+        runs over, the word rotated.  They are patched where contfrac
+        defines them and where torus imports them, so that a walk contfrac
+        makes for itself counts too."""
         logged_arg = {"expand_surd": 0, "_reduced_state": 0, "_walk": 2, "least_rotation": 0}
-        walks = {name: [] for name in logged_arg}
-        for name, log in walks.items():
+        walks = {name: [] for name in [*logged_arg, "_walk to theta1"]}
+        for name, i in logged_arg.items():
             original = getattr(contfrac, name)
 
-            def logged(*args, _log=log, _original=original, _i=logged_arg[name]):
-                _log.append(args[_i])
+            def logged(*args, _name=name, _original=original, _i=i):
+                # a _walk whose target is not its start is a Morita lookup's
+                to_theta1 = _name == "_walk" and args[3] != args[:2]
+                walks["_walk to theta1" if to_theta1 else _name].append(args[_i])
                 return _original(*args)
 
             for module in (contfrac, torus):
@@ -320,36 +325,37 @@ class TestOneExpansionPerParameter:
         return walks
 
     @pytest.mark.parametrize(
-        "theta2,preperiods,cycles",
+        "theta2,preperiods,to_theta1",
         [
             # same field: theta1's and theta2's preperiods, and theta1's
-            # period; theta2's first reduced quotient is theta1's, so its
-            # cycle is read from the memo
-            pytest.param("1+sqrt(100003)", ["sqrt(100003)", "1+sqrt(100003)"], 1,
+            # period; theta2's first reduced quotient is theta1's, so
+            # nothing more is walked
+            pytest.param("1+sqrt(100003)", ["sqrt(100003)", "1+sqrt(100003)"], 0,
                          id="1+sqrt(100003)"),
-            # theta2's quotient lies 171 steps before theta1's on its cycle:
-            # the cycle is walked and rotated again from that state
-            pytest.param("(1+sqrt(100003))/2", ["sqrt(100003)", "(1+sqrt(100003))/2"], 2,
+            # theta2's quotient lies 171 steps before theta1's on its
+            # cycle: it walks those steps, and nothing of theta2's is rotated
+            pytest.param("(1+sqrt(100003))/2", ["sqrt(100003)", "(1+sqrt(100003))/2"], 1,
                          id="(1+sqrt(100003))/2"),
-            # another field: theta2 is never walked, theta1 only for its invariant
-            pytest.param("sqrt(7)", ["sqrt(100003)"], 1, id="sqrt(7)"),
+            # another field: theta2 is never walked
+            pytest.param("sqrt(7)", ["sqrt(100003)"], 0, id="sqrt(7)"),
         ],
     )
-    def test_morita_entry(self, walks, theta2, preperiods, cycles):
+    def test_morita_entry(self, walks, theta2, preperiods, to_theta1):
         entry = {"id": 1, "verb": "torus.morita",
                  "args": {"theta1": "sqrt(100003)", "theta2": theta2}}
         assert run_batch([entry])[0]["status"] == "ok"
         # one preperiod walk per parameter, the one inside theta1's expansion included
         assert walks["_reduced_state"] == [parse_surd(t) for t in preperiods]
-        # each cycle walked is rotated once
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": len(preperiods),
-                                 "_walk": cycles, "least_rotation": cycles}
+        # theta1's cycle, walked once and rotated once for its invariant
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": len(preperiods), "_walk": 1,
+                                 "_walk to theta1": to_theta1, "least_rotation": 1}
 
     def test_other_field_over_budget_never_expands_theta2(self, walks):
         t1 = TorusParameter(S(0, 1, 1, 2))
         t2 = TorusParameter(parse_surd("sqrt(1000000000000000003)"))
         assert morita_equivalent(t1, t2) is None and sl2_witness(t1, t2) is None
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0, "least_rotation": 0}
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 0, "_walk": 0,
+                                 "_walk to theta1": 0, "least_rotation": 0}
         assert "cycle" not in vars(t2) and "reduced" not in vars(t2)
 
     def test_large_conductor_walks_over_theta1s_radicand(self, walks):
@@ -359,22 +365,26 @@ class TestOneExpansionPerParameter:
         t2 = TorusParameter(parse_surd(f"{10**300}*sqrt(100003)"))
         assert morita_equivalent(t1, t2) is None
         assert t2.reduced[3] == 10**600 * 100003
-        assert walks["_walk"] and set(walks["_walk"]) == {100003}
+        assert walks["_walk"] and set(walks["_walk"]) == {100003} and walks["_walk to theta1"] == []
 
     def test_invariant_entry(self, walks):
         entry = {"id": 1, "verb": "torus.invariant", "args": {"theta": "(1+sqrt(5))/2"}}
         assert run_batch([entry])[0]["result"] == {"invariant": [1]}
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 1, "_walk": 1, "least_rotation": 1}
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 1, "_walk": 1,
+                                 "_walk to theta1": 0, "least_rotation": 1}
 
     def test_verbs_share_the_expansions(self, walks):
         t1, t2 = TorusParameter(S(0, 1, 1, 19)), TorusParameter(S(3, 1, 2, 19))
         assert morita_equivalent(t1, t2) is not None
         sl2_witness(t1, t2)
         morita_invariant(t2)
-        # theta1's cycle, and the cycle from theta2's first reduced quotient,
-        # another state of it; the second lookup and theta2's invariant
-        # read both from the memo
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 2, "least_rotation": 2}
+        # theta1's cycle, read from the memo by the second lookup; each
+        # lookup walks theta2's first reduced quotient to theta1's; theta2's
+        # invariant walks the cycle again from that quotient, another state
+        # of it, and rotates it, the one rotation here
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 2,
+                                 "_walk to theta1": 2, "least_rotation": 1}
+        assert walks["_walk"] == walks["_walk to theta1"] == [19, 19]
 
     def test_expand_never_rotates(self, walks):
         # cf.expand reads the period only; the invariant of the same theta
@@ -382,9 +392,11 @@ class TestOneExpansionPerParameter:
         batch = [{"id": i, "verb": verb, "args": {"theta": "sqrt(19)"}}
                  for i, verb in enumerate(["cf.expand", "cf.expand", "torus.invariant"])]
         assert [r["status"] for r in run_batch(batch[:2])] == ["ok", "ok"]
-        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 2, "_walk": 1, "least_rotation": 0}
+        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 2, "_walk": 1,
+                                 "_walk to theta1": 0, "least_rotation": 0}
         assert run_batch(batch[2:])[0]["result"] == {"invariant": [1, 2, 8, 2, 1, 3]}
-        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 3, "_walk": 1, "least_rotation": 1}
+        assert counts(walks) == {"expand_surd": 2, "_reduced_state": 3, "_walk": 1,
+                                 "_walk to theta1": 0, "least_rotation": 1}
 
     def test_torus_verbs_build_no_expansion(self, monkeypatch):
         # the torus verbs read a parameter's reduced state and cycle; only
@@ -422,7 +434,8 @@ class TestOneExpansionPerParameter:
                    for i, theta in enumerate(["sqrt(100003)", "1+sqrt(100003)"])]
         first, second = run_batch(entries)
         assert first["result"] == second["result"] and len(first["result"]["invariant"]) == 342
-        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 1, "least_rotation": 1}
+        assert counts(walks) == {"expand_surd": 0, "_reduced_state": 2, "_walk": 1,
+                                 "_walk to theta1": 0, "least_rotation": 1}
 
 
 class TestAgainstBruteForce:
@@ -479,11 +492,7 @@ def lookup_branch(t1: TorusParameter, t2: TorusParameter) -> str:
     common, read off the parameters' least first reduced quotients."""
     if t1.theta.d != t2.theta.d:
         return "other field"
-    _, P2, Q2, D2 = t2.reduced
-    if t1.reduced[3] != D2:
-        return "other radicand"
-    L = len(t1.cycle.period)
-    return "cycle longer than L" if contfrac._cycle(P2, Q2, D2, L) is None else "other cycle"
+    return "other radicand" if t1.reduced[3] != t2.reduced[3] else "other cycle"
 
 
 def transfer(w1, w2) -> tuple[int, int, int, int]:
@@ -530,9 +539,51 @@ class TestAgainstTwoPeriods:
                     assert entries(sl2_witness(t1, t2)) == transfer(w1, w2)
                 key = "equivalent"
             branches[key] = branches.get(key, 0) + 1
-        assert set(branches) == {
-            "equivalent", "other field", "other radicand", "cycle longer than L", "other cycle",
-        }, branches
+        assert set(branches) == {"equivalent", "other field", "other radicand", "other cycle"}, branches
+
+
+class TestWalkToTheta1:
+    """The lookup walks theta2's first reduced quotient to theta1's where
+    no benchmark workload goes: from every state of one cycle of a few
+    dozen terms, and on a pair over one radicand from two classes."""
+
+    @pytest.mark.parametrize("d", [421, 571])  # L = 37 and 42
+    def test_from_every_complete_quotient(self, d):
+        t1 = TorusParameter(S(0, 1, 1, d))
+        x1 = x = quad_of(t1.theta)
+        for _ in range(len(t1.cycle.period) + 2):
+            t2 = TorusParameter(S(*x))
+            w1, w2, period = two_period_offsets(t1, t2)
+            witnesses = [morita_equivalent(t1, t2), sl2_witness(t1, t2)]
+            assert entries(witnesses[0]) == transfer(w1, w2)
+            odd = (len(w1) + len(w2)) % 2
+            if odd and len(period) % 2 == 0:  # no det +1 witness
+                assert witnesses.pop() is None
+            else:  # det +1: one more period when the first is det -1
+                assert entries(witnesses[1]) == transfer(w1, w2 + period * odd)
+            for witness in witnesses:
+                assert quad_equal(quad_mobius(entries(witness), x1), x)
+            x = quad_floor_invert(x)[1]
+
+    def test_same_radicand_pair_of_another_class(self, alarm, monkeypatch):
+        # theta1's period has L = 5314 terms; theta2's cycle, over the same
+        # radicand, has 5534, so no walk of L steps reaches theta1's state
+        walks, walk = [], torus._walk
+
+        def logged(P, Q, D, to, cap):
+            found = walk(P, Q, D, to, cap)
+            walks.append((cap, found))
+            return found
+
+        monkeypatch.setattr(torus, "_walk", logged)
+        entry = {"verb": "torus.morita",
+                 "args": {"theta1": "sqrt(100000003)", "theta2": "(9992+sqrt(100000003))/13"}}
+        t1, t2 = (TorusParameter(parse_surd(entry["args"][k])) for k in ("theta1", "theta2"))
+        assert t1.reduced[3] == t2.reduced[3] and len(t1.cycle.period) == 5314
+        got = run_batch([dict(entry, id=i) for i in range(3)])
+        assert [r["result"]["equivalent"] for r in got] == [False] * 3
+        # each request walks at most L steps, and is not kept
+        assert walks == [(5314, None)] * 3
 
 
 class TestPinnedWitnesses:
