@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
 from threading import Lock
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import surd
 from ._value import Value
@@ -240,22 +240,13 @@ def _periodic(reduced: tuple) -> _Cycle:
     return found
 
 
-class _Cycle:
+class _Cycle(NamedTuple):
     """The period walked from a reduced state, and its least-rotation
-    offset, found the first time it is read: the torus verbs read it,
-    cf.expand never does."""
+    offset, found right after the walk: a record is complete when the
+    memo keeps it, and nothing writes it after."""
 
-    __slots__ = ("period", "_offset")
-
-    def __init__(self, period: tuple[int, ...]):
-        self.period = period
-        self._offset: Optional[int] = None
-
-    @property
-    def offset(self) -> int:
-        if self._offset is None:  # two threads may both rotate; they agree
-            self._offset = least_rotation(self.period)
-        return self._offset
+    period: tuple[int, ...]
+    offset: int
 
     def least(self) -> tuple[int, ...]:
         """The period at its least rotation: the tail class's normal form."""
@@ -270,10 +261,10 @@ class _Cycle:
 # 4.6 * 10^4; a period of more than about 6.5 * 10^4 terms (sqrt(d) for
 # some d past 10^9) is answered but never kept.
 CYCLE_MEMO_WORDS = 1 << 16
-# tracemalloc found 33-40 words a cycle besides its ints' words, the
-# dict's spare slots included, in memos of 3000-6000 one-term cycles with
-# their offsets read, and 10-20 words a None record in memos of 3000-6000
-# states of sqrt(d), d near 10^3 and 10^6 (CPython 3.11)
+# tracemalloc found 26-36 words a cycle besides its ints' words, the
+# dict's spare slots included, in memos of 3000-6000 one-term cycles, and
+# 10-20 words a None record in memos of 3000-6000 states of sqrt(d), d
+# near 10^3 and 10^6 (CPython 3.11)
 _CYCLE_WORDS = 40
 
 # (P, Q, D) of a reduced state -> the _Cycle walked from it, or None when
@@ -290,16 +281,16 @@ _UNSEEN = object()
 def _cycle(P: int, Q: int, D: int) -> Optional[_Cycle]:
     """The cycle walked from the reduced state (P, Q) over D back to
     itself, or None when its period is longer than _term_budget(D) terms.
-    Either depends on the state alone, so it is walked once and then read
-    from the memo while the memo keeps it.  When keeping a record would
-    pass CYCLE_MEMO_WORDS, the memo is emptied first; a record heavier
-    than that on its own is never kept."""
+    Either depends on the state alone, so it is walked and rotated once,
+    then read from the memo while the memo keeps it.  When keeping a
+    record would pass CYCLE_MEMO_WORDS, the memo is emptied first; a
+    record heavier than that on its own is never kept."""
     state = P, Q, D
     # one read: a test and then a read could race a clear in another thread
     found = _cycles.get(state, _UNSEEN)
     if found is _UNSEEN:
         period = _walk(P, Q, D, (P, Q), _term_budget(D))
-        found = None if period is None else _Cycle(period)
+        found = None if period is None else _Cycle(period, least_rotation(period))
         _keep(state, found)
     return found
 

@@ -74,12 +74,9 @@ def twist(e: EllipticCurve, t: TwistParameter) -> EllipticCurve:
     """
     n, m = t.t.numerator, t.t.denominator
     A, B = e.A, e.B
-    if not B:  # j = 1728
-        return EllipticCurve(Fraction(n * A.numerator, m * A.denominator), B)
-    if not A:  # j = 0
-        return EllipticCurve(A, Fraction(n * B.numerator, m * B.denominator))
-    return EllipticCurve(Fraction(n * n * A.numerator, m * m * A.denominator),
-                         Fraction(n**3 * B.numerator, m**3 * B.denominator))
+    a, b = (1, 0) if not B else (0, 1) if not A else (2, 3)  # powers of t on A and B
+    return EllipticCurve(Fraction(n**a * A.numerator, m**a * A.denominator),
+                         Fraction(n**b * B.numerator, m**b * B.denominator))
 
 
 def c_isomorphic(e1: EllipticCurve, e2: EllipticCurve) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from ._value import Value
@@ -24,18 +25,17 @@ _TRIAL_BOUND = 10_000
 # factored random 96-bit semiprimes in 0.25-0.9 s on a 2-vCPU Xeon VM,
 # 100-bit ones in up to 2 s; the time keeps growing with the size.
 _FACTOR_BITS = 96
-_primes_cache: list[int] = []
 
 
-def _small_primes() -> list[int]:
-    if not _primes_cache:
-        flags = bytearray([1]) * (_TRIAL_BOUND + 1)
-        flags[0] = flags[1] = 0
-        for i in range(2, isqrt(_TRIAL_BOUND) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytes(len(flags[i * i :: i]))
-        _primes_cache.extend(i for i, f in enumerate(flags) if f)
-    return _primes_cache
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to _TRIAL_BOUND, sieved once."""
+    flags = bytearray([1]) * (_TRIAL_BOUND + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(flags[i * i :: i]))
+    return tuple(i for i, f in enumerate(flags) if f)
 
 
 def _squarefree_decompose(d: int) -> tuple[int, int]:
@@ -98,7 +98,7 @@ class QuadraticSurd(Value):
             raise SurdError("radicand must be >= 1")
         if (d == 1) != (q == 0):
             raise SurdError("rational surds must carry q = 0, d = 1")
-        if gcd(gcd(p, q), r) != 1 or d > 1 and isqrt(d) ** 2 == d:
+        if gcd(gcd(p, q), r) != 1 or _squarefree_decompose(d)[0] != 1:
             raise SurdError("surd tuple not reduced; use normalize()")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

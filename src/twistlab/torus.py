@@ -29,8 +29,8 @@ class TorusParameter(Value):
     # cached_property writes the instance __dict__ directly, past the
     # refused assignment: each parameter's preperiod is walked at most
     # once, however many verbs ask.  Its cycle comes from contfrac's memo,
-    # walked once for all the parameters that enter it at the same state,
-    # and rotated when a verb first reads the offset, while the memo keeps it.
+    # walked and rotated once for all the parameters that enter it at the
+    # same state, while the memo keeps it.
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
         """(preperiod, P, Q, D): theta's first reduced complete quotient

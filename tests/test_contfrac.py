@@ -395,6 +395,22 @@ class TestCycleMemo:
             assert [self.error(self.SHORTER) for _ in range(2)] == [message] * 2
             assert walked == [self.STATE] and contfrac._cycle_words == words
 
+    def test_a_kept_record_is_complete(self, monkeypatch):
+        # the walk's caller rotates the period before the memo keeps it:
+        # reading the record rotates nothing, and no field can be written
+        found = contfrac._cycle(*self.STATE)
+        assert contfrac._cycles == {self.STATE: found}
+
+        def refuse(word):
+            raise AssertionError("rotated after the walk")
+
+        monkeypatch.setattr(contfrac, "least_rotation", refuse)
+        assert found.offset == 10
+        assert found.least() == (1, 1, 3, 2, 1, 18, 1, 2, 3, 1, 1, 5, 1, 8, 1, 5)
+        for field in ("period", "offset"):
+            with pytest.raises(AttributeError):
+                setattr(found, field, getattr(found, field))
+
     @pytest.mark.parametrize("budget", [15, 16])
     @pytest.mark.parametrize("first", ["SHORTER", "LONGER"])
     def test_preperiods_of_either_length_share_the_record(self, monkeypatch, walked, budget, first):

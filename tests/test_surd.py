@@ -61,10 +61,14 @@ class TestNormalize:
         with pytest.raises(SurdError):
             S(1, 1, 1, -3)
 
-    @pytest.mark.parametrize("args", [(0, 1, 1, 4), (1, 2, 3, 9), (0, 1, 1, 10**40)])
-    def test_constructor_rejects_a_square_radicand(self, args):
-        # the value is rational; taken as irrational, its expansion divided
-        # by zero in contfrac._reduced_state
+    @pytest.mark.parametrize(
+        "args", [(0, 1, 1, 4), (1, 2, 3, 9), (0, 1, 1, 10**40), (0, 1, 1, 8), (1, 2, 3, 12)]
+    )
+    def test_constructor_rejects_a_square_factor(self, args):
+        # a square radicand makes the value rational, and taken as irrational
+        # its expansion divided by zero in contfrac._reduced_state; any other
+        # square factor puts an equal real in another field, unequal to the
+        # normalized value and refused by the torus verbs' field check
         with pytest.raises(SurdError, match=r"^surd tuple not reduced; use normalize\(\)$"):
             QuadraticSurd(*args)
 
