@@ -215,7 +215,7 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
     Galois's theorem exactly the reduced states have purely periodic
     expansions: the preperiod is the walk to the first reduced state
     (_reduced_state), and the period is the walk from that state back to
-    itself (_cycle).  An expansion of more than _term_budget(D) terms in
+    itself (_periodic).  An expansion of more than _term_budget(D) terms in
     all raises CFError.  The walks leave nothing for EventuallyPeriodicCF's
     checks to find: the period is the first return, so primitive; every
     term after a0 is the floor of a complete quotient above 1; and the
@@ -228,13 +228,23 @@ def expand_surd(x: surd.QuadraticSurd) -> EventuallyPeriodicCF:
 def _periodic(reduced: tuple) -> _Cycle:
     """The cycle through the first reduced state of the surd whose
     _reduced_state (preperiod, P, Q, D) is reduced; CFError when its
-    period is longer than the budget left after the preperiod.  The cycle
-    is walked for up to the whole budget whatever the preperiod, so that
-    its record depends on the state alone: an expansion over budget stops
-    within its preperiod plus the budget."""
+    period is longer than the budget left after the preperiod.  A cycle
+    depends on its state alone, so it is walked and rotated once, then
+    read from the memo while the memo keeps it.  The walk runs for up to
+    the whole budget whatever the preperiod, so an expansion over budget
+    stops within its preperiod plus the budget, and a walk that passes
+    the budget keeps nothing: a state over budget is walked again on
+    every request, each time within the budget."""
     preperiod, P, Q, D = reduced
     budget = _term_budget(D)
-    found = _cycle(P, Q, D)
+    state = P, Q, D
+    # one read: a test and then a read could race a clear in another thread
+    found = _cycles.get(state)
+    if found is None:
+        period = _walk(P, Q, D, (P, Q), budget)
+        if period is not None:
+            found = _Cycle(period, least_rotation(period))
+            _keep(state, found)
     if found is None or len(found.period) > budget - len(preperiod):
         raise CFError(f"expansion longer than the budget of {budget} terms")
     return found
@@ -254,7 +264,7 @@ class _Cycle(NamedTuple):
 
 
 # Most machine words the cycle memo holds.  A record's k ints (a cycle's
-# terms, if any, and P, Q and D) of b bits in all count k + b // 64
+# terms, and P, Q and D) of b bits in all count k + b // 64
 # words, at least the words they hold, and the record _CYCLE_WORDS more
 # for its objects, its dict slot and its ints' headers.  A pass of the
 # tails benchmark holds about 10^4 words, and of verbs-mixed about
@@ -262,48 +272,29 @@ class _Cycle(NamedTuple):
 # some d past 10^9) is answered but never kept.
 CYCLE_MEMO_WORDS = 1 << 16
 # tracemalloc found 26-36 words a cycle besides its ints' words, the
-# dict's spare slots included, in memos of 3000-6000 one-term cycles, and
-# 10-20 words a None record in memos of 3000-6000 states of sqrt(d), d
-# near 10^3 and 10^6 (CPython 3.11)
+# dict's spare slots included, in memos of 3000-6000 one-term cycles
+# (CPython 3.11)
 _CYCLE_WORDS = 40
 
-# (P, Q, D) of a reduced state -> the _Cycle walked from it, or None when
-# the walk passed _term_budget(D) steps without coming back: each record
-# depends on its state alone, TERM_BUDGET being fixed for the process.  A
-# cycle is kept under the state its walk started from, so a cycle entered
-# at several of its states is kept once for each.
-_cycles: dict[tuple[int, int, int], Optional[_Cycle]] = {}
+# (P, Q, D) of a reduced state -> the _Cycle walked from it.  A cycle is
+# kept under the state its walk started from, so a cycle entered at
+# several of its states is kept once for each.  When keeping a cycle
+# would pass CYCLE_MEMO_WORDS, the memo is emptied first; a cycle heavier
+# than that on its own is never kept.
+_cycles: dict[tuple[int, int, int], _Cycle] = {}
 _cycle_words = 0
 _cycle_lock = Lock()
-_UNSEEN = object()
 
 
-def _cycle(P: int, Q: int, D: int) -> Optional[_Cycle]:
-    """The cycle walked from the reduced state (P, Q) over D back to
-    itself, or None when its period is longer than _term_budget(D) terms.
-    Either depends on the state alone, so it is walked and rotated once,
-    then read from the memo while the memo keeps it.  When keeping a
-    record would pass CYCLE_MEMO_WORDS, the memo is emptied first; a
-    record heavier than that on its own is never kept."""
-    state = P, Q, D
-    # one read: a test and then a read could race a clear in another thread
-    found = _cycles.get(state, _UNSEEN)
-    if found is _UNSEEN:
-        period = _walk(P, Q, D, (P, Q), _term_budget(D))
-        found = None if period is None else _Cycle(period, least_rotation(period))
-        _keep(state, found)
-    return found
-
-
-def _words(state: tuple[int, int, int], record: Optional[_Cycle]) -> int:
-    ints = state if record is None else state + record.period
+def _words(state: tuple[int, int, int], cycle: _Cycle) -> int:
+    ints = state + cycle.period
     return _CYCLE_WORDS + len(ints) + sum(map(int.bit_length, ints)) // 64
 
 
-def _keep(state: tuple[int, int, int], record: Optional[_Cycle]) -> None:
-    """Keep a record, unless another thread kept one for its state first."""
+def _keep(state: tuple[int, int, int], cycle: _Cycle) -> None:
+    """Keep a cycle, unless another thread kept one for its state first."""
     global _cycle_words
-    words = _words(state, record)
+    words = _words(state, cycle)
     if words > CYCLE_MEMO_WORDS:
         return
     with _cycle_lock:  # another thread may keep or clear between the lookup and here
@@ -312,7 +303,7 @@ def _keep(state: tuple[int, int, int], record: Optional[_Cycle]) -> None:
         if _cycle_words + words > CYCLE_MEMO_WORDS:
             _cycles.clear()
             _cycle_words = 0
-        _cycles[state] = record
+        _cycles[state] = cycle
         _cycle_words += words
 
 

@@ -175,6 +175,17 @@ class TestBatch:
             run_batch(req)
         assert str(exc.value) == "batch entry 1: 'id' must not be an array or object"
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"id": 0, "verb": "curve.j"}, "batch must be a JSON array"),
+        ([{"id": 0, "verb": "curve.j"}, {"id": 1}], "batch entry 1 must have 'verb' and 'id'"),
+        ([{"id": 0, "verb": "curve.j"}, {"verb": "curve.j"}], "batch entry 1 must have 'verb' and 'id'"),
+        ([{"id": 0, "verb": "curve.j"}, ["curve.j", 1]], "batch entry 1 must have 'verb' and 'id'"),
+    ], ids=["object", "no-verb", "no-id", "array-entry"])
+    def test_malformed_batch_is_a_usage_error(self, entries, message):
+        with pytest.raises(UsageError) as exc:
+            run_batch(entries)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("verb", [["x"], {"cf.expand": 1}, 7, None])
     def test_non_string_verb_is_unknown(self, verb):
         got = run_batch([{"id": 1, "verb": verb, "args": {"theta": "sqrt(2)"}}])
@@ -255,6 +266,7 @@ def low_digit_limit():
     ("cf.value", {"preperiod": [1, 0], "period": [2]}, "CFError",
      "terms after a0 must be >= 1"),
     ("cf.convergents", {"period": [1], "count": 0}, "CFError", "count must be positive"),
+    ("cf.expand", ["sqrt(2)"], "usage", "command arguments must be a JSON object"),
 ])
 def test_argument_checks_answer_in_batch(verb, args, kind, message):
     (got,) = run_batch([{"id": 0, "verb": verb, "args": args}])
@@ -898,6 +910,13 @@ class TestMainExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("twistlab: [Errno 2] ") and err.count("\n") == 1
         assert not path.parent.exists()
+
+    def test_inline_args_and_in_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "args.json"
+        path.write_text('{"A": "1", "B": "0"}')
+        code, out, err = run_main(["curve.j", '{"A": "1", "B": "0"}', "--in", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "twistlab: give inline JSON args or --in, not both\n"
 
     def test_malformed_batch_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

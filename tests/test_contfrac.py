@@ -245,15 +245,9 @@ class TestLeastStates:
         assert contfrac._reduced_state(parse_surd(theta))[1:] == state
 
 
-def held_ints(record) -> tuple[int, ...]:
-    """A memo record's terms: a cycle's period, or none for a walk that
-    passed the term budget."""
-    return () if record is None else record.period
-
-
 def held_words() -> int:
     """The machine words of the ints in the cycle memo, at least one each."""
-    ints = [n for state, record in contfrac._cycles.items() for n in state + held_ints(record)]
+    ints = [n for state, cycle in contfrac._cycles.items() for n in state + cycle.period]
     return sum(max(1, -(-n.bit_length() // 64)) for n in ints)
 
 
@@ -292,7 +286,7 @@ class TestCycleMemo:
         # each of these cycles counts about 460 words
         for k in range(200):
             n = 10**1999 + k
-            found = contfrac._cycle(n, 1, n * n + 1)
+            found = contfrac._periodic(((), n, 1, n * n + 1))
             assert (found.period, found.offset) == ((2 * n,), 0)
             assert held_words() <= contfrac._cycle_words <= contfrac.CYCLE_MEMO_WORDS
         assert len(contfrac._cycles) < 200
@@ -308,10 +302,9 @@ class TestCycleMemo:
 
         def counted() -> int:
             total = 0
-            for state, record in contfrac._cycles.items():
-                ints = held_ints(record)
-                total += (contfrac._CYCLE_WORDS + len(ints) + 3
-                          + sum(map(int.bit_length, ints + state)) // 64)
+            for state, cycle in contfrac._cycles.items():
+                ints = state + cycle.period
+                total += contfrac._CYCLE_WORDS + len(ints) + sum(map(int.bit_length, ints)) // 64
             return total
 
         monkeypatch.setattr(contfrac, "CYCLE_MEMO_WORDS", 400)
@@ -370,35 +363,44 @@ class TestCycleMemo:
         return starts
 
     def test_over_budget_state_answers_alike_every_time(self, monkeypatch):
-        for budget, record in [(15, None), (16, 16)]:
+        for budget, kept in [(15, {}), (16, {self.STATE: 16})]:
             contfrac._clear_cycles()
             monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
             message = f"expansion longer than the budget of {budget} terms"
             assert self.error(self.SHORTER) == self.error(self.SHORTER) == message
-            # the record depends on the state alone: None when the cycle
-            # passes the budget, else the cycle, longer than the budget left
-            # after the one-term preperiod
-            (state, kept), = contfrac._cycles.items()
-            assert state == self.STATE
-            assert (None if kept is None else len(kept.period)) == record
+            # a walk past the budget keeps nothing; a cycle within it is
+            # kept, though longer than the budget left after the one-term
+            # preperiod
+            assert {state: len(c.period) for state, c in contfrac._cycles.items()} == kept
         # the state itself, with no preperiod, is within a budget of 16
         assert len(expand_surd(S(9, 1, 13, 94)).period) == 16
         assert self.error(self.SHORTER) == message
 
-    def test_over_budget_state_is_walked_once(self, monkeypatch, walked):
+    def test_over_budget_state_is_walked_on_each_request(self, monkeypatch, walked):
         # 40 words, P, Q and D, and the 16 terms of a kept cycle
-        for budget, words in [(15, 43), (16, 59)]:
+        for budget, walks, words in [(15, 2, 0), (16, 1, 59)]:
             contfrac._clear_cycles()
             walked.clear()
             monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
             message = f"expansion longer than the budget of {budget} terms"
             assert [self.error(self.SHORTER) for _ in range(2)] == [message] * 2
-            assert walked == [self.STATE] and contfrac._cycle_words == words
+            assert walked == [self.STATE] * walks and contfrac._cycle_words == words
+            assert len(contfrac._cycles) == (words > 0)
+
+    def test_a_budget_error_is_not_kept(self, monkeypatch):
+        # the error under a small budget leaves no record that answers
+        # for the budget in force later
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 10)
+        assert self.error(self.SHORTER) == "expansion longer than the budget of 10 terms"
+        monkeypatch.setattr(contfrac, "TERM_BUDGET", 10**6)
+        got = expand_surd(parse_surd("sqrt(94)"))
+        assert got.preperiod == (9,)
+        assert got.period == (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)
 
     def test_a_kept_record_is_complete(self, monkeypatch):
         # the walk's caller rotates the period before the memo keeps it:
         # reading the record rotates nothing, and no field can be written
-        found = contfrac._cycle(*self.STATE)
+        found = contfrac._periodic(((), *self.STATE))
         assert contfrac._cycles == {self.STATE: found}
 
         def refuse(word):
@@ -415,14 +417,15 @@ class TestCycleMemo:
     @pytest.mark.parametrize("first", ["SHORTER", "LONGER"])
     def test_preperiods_of_either_length_share_the_record(self, monkeypatch, walked, budget, first):
         # each parameter is over budget, and each reaches the state after
-        # its own preperiod; whichever comes first, the state is walked once
+        # its own preperiod; whichever comes first, a cycle within the
+        # budget is walked once, and one past it on each request
         monkeypatch.setattr(contfrac, "TERM_BUDGET", budget)
         order = [first, "LONGER" if first == "SHORTER" else "SHORTER"]
         message = f"expansion longer than the budget of {budget} terms"
         for name in order * 2:
             assert contfrac._reduced_state(getattr(self, name))[1:] == self.STATE
             assert self.error(getattr(self, name)) == message
-        assert walked == [self.STATE]
+        assert walked == [self.STATE] * (4 if budget == 15 else 1)
 
 
 class TestValueOf:

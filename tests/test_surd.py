@@ -72,6 +72,22 @@ class TestNormalize:
         with pytest.raises(SurdError, match=r"^surd tuple not reduced; use normalize\(\)$"):
             QuadraticSurd(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1, 1, 0, 2), "denominator must be positive"),
+        ((1, 1, -2, 2), "denominator must be positive"),
+        ((0, 1, 1, 0), "radicand must be >= 1"),
+        ((1, 0, 1, 2), "rational surds must carry q = 0, d = 1"),
+        ((1, 1, 1, 1), "rational surds must carry q = 0, d = 1"),
+    ])
+    def test_constructor_names_what_is_malformed(self, args, message):
+        with pytest.raises(SurdError) as exc:
+            QuadraticSurd(*args)
+        assert str(exc.value) == message
+
+    def test_irrational_has_no_fraction(self):
+        with pytest.raises(SurdError, match="^irrational surd has no rational value$"):
+            parse_surd("sqrt(2)").to_fraction()
+
     def test_square_cofactor_past_trial_division(self, monkeypatch):
         # 200280098 = 2 * 10007^2: trial division leaves 10007^2, whose
         # prime factors exceed its cube root, and the perfect-square check
