@@ -4,9 +4,11 @@ One binary with dotted verbs (cf.expand, torus.morita, curve.j, ...)
 plus a `batch` mode that runs a JSON array of commands.  All numeric
 output is exact (surds and fractions as strings, integers as JSON
 integers); a result too long to print is the verb's domain error, and
-identical invocations produce byte-identical output.  Exit codes: 0
-success (batch entry errors included), 1 usage or parse error, 2 domain
-error in single-command mode.
+identical invocations produce byte-identical output.  A single command
+runs as a batch of one, so both modes answer alike.  Exit codes: 0
+success (batch entry errors included), 1 usage or parse error, 2 a
+single command's error: a domain error, or kind "internal" for a fault
+of the program.
 """
 
 from __future__ import annotations
@@ -310,20 +312,30 @@ def _failed(entry_id, message: str, kind: str) -> dict:
 _VERB_ERRORS = {"cf": CFError, "torus": TorusError, "dimgroup": DimGroupError, "curve": CurveError}
 
 
-def _too_long(verb: str) -> Exception:
-    """verb's domain error for a result holding an int past the
-    interpreter's digit limit, which json.dumps refuses to print."""
-    return _VERB_ERRORS[verb.partition(".")[0]](f"result too long to print: {digit_limit_text()}")
-
-
 def _printable(response: dict, verb: str) -> dict:
-    """A batch response, or its verb's domain error if it cannot be printed."""
+    """A batch response, or its verb's domain error if it holds an int
+    past the interpreter's digit limit, which json.dumps refuses to print."""
     try:
         json.dumps(response)
     except ValueError:
-        error = _too_long(verb)
-        return _failed(response["id"], str(error), type(error).__name__)
+        kind = _VERB_ERRORS[verb.partition(".")[0]].__name__
+        return _failed(response["id"], f"result too long to print: {digit_limit_text()}", kind)
     return response
+
+
+def _shown(responses: list, verb: str, indent) -> tuple[str, int]:
+    """What main prints for run_batch's responses, and its exit code: a
+    batch prints them all; a single command its result (0) or its error
+    (2), and its usage error is raised."""
+    if verb == "batch":
+        return json.dumps(responses, indent=indent), 0
+    (response,) = responses
+    if response["status"] == "ok":
+        return json.dumps(response["result"], indent=indent), 0
+    if response["kind"] == "usage":
+        raise UsageError(response["message"])
+    error = {"message": response["message"], "kind": response["kind"]}
+    return json.dumps({"error": error}, indent=indent), 2
 
 
 def main(argv=None) -> int:
@@ -342,26 +354,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pretty", action="store_true", help="indented JSON")
     opts = parser.parse_args(argv)
 
-    def emit(obj, requests=None):
-        """Print obj as JSON, the one place a result's ints become text.
-        When one is past the interpreter's digit limit, its verb's domain
-        error is raised for a single command and put in place of each
-        batch response that holds one (requests align with obj); output
-        that prints at once is never checked entry by entry."""
-        indent = 2 if opts.pretty else None
-        try:
-            text = json.dumps(obj, indent=indent) + "\n"
-        except ValueError:
-            if requests is None:
-                raise _too_long(opts.verb) from None
-            obj = [_printable(r, entry["verb"]) for r, entry in zip(obj, requests)]
-            text = json.dumps(obj, indent=indent) + "\n"
-        if opts.outfile:
-            with open(opts.outfile, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
     try:
         if opts.args is not None and opts.infile:
             raise UsageError("give inline JSON args or --in, not both")
@@ -378,15 +370,21 @@ def main(argv=None) -> int:
         except RecursionError:  # arrays or objects nested about 1000 deep
             raise UsageError("malformed JSON input: nested too deeply") from None
 
+        # a single command is a batch of one: one path runs and classifies every verb
+        batch = payload if opts.verb == "batch" else [{"id": 0, "verb": opts.verb, "args": payload}]
+        responses = run_batch(batch)
+        indent = 2 if opts.pretty else None
         try:
-            if opts.verb == "batch":
-                emit(run_batch(payload), payload)
-            else:
-                emit(run_command(opts.verb, payload))
-        except DOMAIN_ERRORS as exc:  # printed like a result: a failing --out is a usage error
-            emit({"error": {"message": str(exc), "kind": type(exc).__name__}})
-            return 2
-        return 0
+            text, code = _shown(responses, opts.verb, indent)
+        except ValueError:  # checked entry by entry only when the whole fails to print
+            responses = [_printable(r, entry["verb"]) for r, entry in zip(responses, batch)]
+            text, code = _shown(responses, opts.verb, indent)
+        if opts.outfile:  # a failing --out is a usage error, whatever was to be printed
+            with open(opts.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+        return code
     except (UsageError, OSError, UnicodeDecodeError) as exc:  # --in FILE not UTF-8
         print(f"twistlab: {exc}", file=sys.stderr)
         return 1

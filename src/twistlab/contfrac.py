@@ -361,13 +361,13 @@ def _mobius_matrix(terms, start=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
     """start times the product of [[a,1],[1,0]] over the terms, row-major;
     a word past WORD_BUDGET raises CFError before any multiplication.
 
-    A word of fewer than _LEAVES_FROM terms multiplies start by one term at
-    a time.  A longer one is cut into leaves of _LEAF terms, and the
-    product of each leaf is folded into the running product by one 2x2
-    multiply; a leaf whose terms average more than _LEAF_BITS bits is
-    multiplied in one term at a time instead.  Both rows of a leaf's
-    product step as (x1, x2) -> (a x1 + x2, x1), so each column runs as one
-    integer, row 1 shifted k bits above row 2: one multiply-add a term.
+    The word is cut into leaves of _LEAF terms, and the product of each
+    leaf is folded into the running product by one 2x2 multiply.  A leaf
+    of a word of fewer than _LEAVES_FROM terms, or one whose terms average
+    more than _LEAF_BITS bits, multiplies it by one term at a time instead.
+    Both rows of a leaf's product step as (x1, x2) -> (a x1 + x2, x1), so
+    each column runs as one integer, row 1 shifted k bits above row 2: one
+    multiply-add a term.
     With W the bits of the leaf's terms summed, every entry is at most 2^W
     in magnitude, as a factor's row sums are |a| + 1 <= 2^bitlength(a); so
     k = W + 2 keeps row 2 within (-2^(k-1), 2^(k-1)), and adding 2^(k-1)
@@ -384,14 +384,9 @@ def _mobius_matrix(terms, start=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
         bits += sum(map(int.bit_length, terms))
         if bits * (8 * n + bits) > WORD_BUDGET:
             raise CFError(f"word exceeds the word budget of {WORD_BUDGET}")
-    if n < _LEAVES_FROM:
-        for a in terms:
-            m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
-        return m11, m12, m21, m22
     for i in range(0, n, _LEAF):
         leaf = terms[i:i + _LEAF]
-        k = sum(map(int.bit_length, leaf)) + 2
-        if k > _LEAF_BITS * len(leaf):
+        if n < _LEAVES_FROM or (k := sum(map(int.bit_length, leaf)) + 2) > _LEAF_BITS * len(leaf):
             for a in leaf:
                 m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
             continue

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -319,14 +321,22 @@ def test_large_values_in_messages_are_clipped(verb, args, kind):
     assert len(json.dumps(got)) < 1000
 
 
-def test_division_by_zero_is_internal(monkeypatch):
+@pytest.mark.parametrize("mode", ["batch", "single"])
+def test_division_by_zero_is_internal(monkeypatch, capsys, mode):
     """No verb divides by zero on any input, so one that does is a fault
-    of the program, not a domain error."""
+    of the program, not a domain error; a single command reports it as
+    its error, with exit code 2, not as a traceback."""
     def divide(args):
         return 1 // 0
 
     monkeypatch.setitem(VERBS, "cf.value", divide)
-    (got,) = run_batch([{"id": 0, "verb": "cf.value", "args": {}}])
+    if mode == "batch":
+        (got,) = run_batch([{"id": 0, "verb": "cf.value", "args": {}}])
+    else:
+        code, out, err = run_main(["cf.value", "{}"], capsys)
+        assert (code, err) == (2, "")
+        got = json.loads(out)["error"]
+        assert set(got) == {"message", "kind"}
     assert got["kind"] == "internal" and got["message"].startswith("ZeroDivisionError")
 
 
@@ -581,6 +591,24 @@ def test_arbitrary_json_arguments(batch):
     got = run_batch(req)
     assert len(got) == len(req)
     assert [r for r in got if r.get("kind") == "internal"] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries())
+def test_single_command_is_a_batch_of_one(entry):
+    # capsys is function-scoped, so each example captures its own output
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([entry["verb"], json.dumps(entry["args"])])
+    (want,) = run_batch([{"id": 0, **entry}])
+    if want["status"] == "ok":
+        assert (code, json.loads(out.getvalue()), err.getvalue()) == (0, want["result"], "")
+    elif want["kind"] == "usage":
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == f"twistlab: {want['message']}\n"
+    else:
+        error = {"message": want["message"], "kind": want["kind"]}
+        assert (code, json.loads(out.getvalue()), err.getvalue()) == (2, {"error": error}, "")
 
 
 @st.composite

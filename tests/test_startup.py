@@ -52,21 +52,35 @@ def test_import_registers_every_layer_and_runs_none():
     assert "inspect" not in seen["imported"]
 
 
+RUN_COMMAND = "twistlab.cli.run_command({verb!r}, {args!r})"
+# a single command through main, which runs it as a batch of one; the
+# probe's JSON line must be all the child prints
+MAIN = ("import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert twistlab.cli.main([{verb!r}, json.dumps({args!r})]) == 0\n")
+
+
 @pytest.mark.parametrize(
-    "verb,args,ran",
+    "call,verb,args,ran",
     [
-        ("curve.j", {"A": 1, "B": 2}, ["elliptic"]),
-        ("dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]}, ["dimgroup"]),
-        ("dimgroup.positive", {"period": [1, 2], "vector": [1, -1]}, ["contfrac", "dimgroup"]),
-        ("cf.expand", {"theta": "sqrt(7)"}, ["surd", "contfrac"]),
-        ("torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
+        (RUN_COMMAND, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
+        (RUN_COMMAND, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]},
+         ["dimgroup"]),
+        (RUN_COMMAND, "dimgroup.positive", {"period": [1, 2], "vector": [1, -1]},
+         ["contfrac", "dimgroup"]),
+        (RUN_COMMAND, "cf.expand", {"theta": "sqrt(7)"}, ["surd", "contfrac"]),
+        (RUN_COMMAND, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
+         ["surd", "contfrac", "torus"]),
+        (MAIN, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
+        (MAIN, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]}, ["dimgroup"]),
+        (MAIN, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
          ["surd", "contfrac", "torus"]),
     ],
     ids=["curve.j", "dimgroup.positive-phi", "dimgroup.positive-period", "cf.expand",
-         "torus.morita"],
+         "torus.morita", "main-curve.j", "main-dimgroup.positive-phi", "main-torus.morita"],
 )
-def test_verb_runs_only_its_layers(verb, args, ran):
-    seen = probe(f"twistlab.cli.run_command({verb!r}, {args!r})")
+def test_verb_runs_only_its_layers(call, verb, args, ran):
+    seen = probe(call.format(verb=verb, args=args))
     assert seen["ran"] == ran
     assert seen["registered"] == list(LAYERS)
 
