@@ -4,8 +4,29 @@ A subclass lists its fields in _fields and sets them in its own
 __init__ with object.__setattr__, after its checks.  Instances are
 equal and hash-equal exactly when their class and fields are, print as
 Name(field=value, ...), and refuse assignment.  The instance __dict__
-stays, so functools.cached_property works on them.
+stays, so a `lazy` field can keep its value there.
 """
+
+
+class lazy:
+    """A field computed from the others when it is first read, then kept
+    in the instance __dict__ under its own name, which shadows this
+    non-data descriptor from then on.  It takes no lock, on any Python:
+    two threads that read it first at once may both compute it, and they
+    compute the same pure value, so no read waits on another's."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Value:

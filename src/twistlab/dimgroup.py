@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import cycle
 from math import gcd
 from operator import or_
@@ -23,7 +23,7 @@ from typing import Optional
 # the other layers through their module objects: each loads only when a
 # verb first calls into it, so a group given by phi loads none of them
 from . import contfrac, surd, torus
-from ._value import Value
+from ._value import Value, lazy
 from .errors import (
     DimGroupError, NotCFTypeError, NotPrimitiveMatrixError, SingularMatrixError, clipped,
 )
@@ -125,9 +125,9 @@ class StationaryDimensionGroup(Value):
     def __init__(self, phi: Matrix):
         object.__setattr__(self, "phi", phi)
 
-    # cached_property writes the instance __dict__ past the refused
+    # a lazy field writes the instance __dict__ past the refused
     # assignment, and __init__'s phi there shadows this one
-    @cached_property
+    @lazy
     def phi(self) -> Matrix:
         m11, m12, m21, m22 = contfrac._mobius_matrix(self._word)
         return ((m11, m12), (m21, m22))
@@ -193,12 +193,15 @@ PUSH_BUDGET = 10**12
 
 def element_equal(g: StationaryDimensionGroup, e1: K0Element, e2: K0Element) -> bool:
     """Push the lower-stage vector forward; phi is injective (det != 0),
-    so this decides equality in the limit.  A gap whose pushes may cost
-    more than PUSH_BUDGET raises DimGroupError."""
+    so this decides equality in the limit.  Elements at one stage are
+    compared as vectors, without reading phi.  A gap whose pushes may
+    cost more than PUSH_BUDGET raises DimGroupError."""
     _check_vector(g, e1)
     _check_vector(g, e2)
     lo, hi = (e1, e2) if e1.stage <= e2.stage else (e2, e1)
     gap = hi.stage - lo.stage
+    if gap == 0:
+        return lo.vector == hi.vector
     bits = max(map(sum, g.phi)).bit_length()
     n = g.rank
     if n * n * gap * (gap * bits * (bits + 256) + 10**5) > PUSH_BUDGET:

@@ -9,10 +9,9 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
-from ._value import Value
+from ._value import Value, lazy
 from .contfrac import _Cycle, _periodic, _reduced_state, _transfer, _walk
 from .errors import TorusError, clipped
 from .surd import QuadraticSurd
@@ -26,19 +25,19 @@ class TorusParameter(Value):
             raise TorusError("rotation parameter must be irrational")
         object.__setattr__(self, "theta", theta)
 
-    # cached_property writes the instance __dict__ directly, past the
+    # a lazy field writes the instance __dict__ directly, past the
     # refused assignment: each parameter's preperiod is walked at most
     # once, however many verbs ask.  Its cycle comes from contfrac's memo,
     # walked and rotated once for all the parameters that enter it at the
     # same state, while the memo keeps it.
-    @cached_property
+    @lazy
     def reduced(self) -> tuple[tuple[int, ...], int, int, int]:
         """(preperiod, P, Q, D): theta's first reduced complete quotient
         as the least state (P + sqrt(D))/Q, D a square times theta.d, and
         the terms before it; the cycle and the Morita lookup continue from it."""
         return _reduced_state(self.theta)
 
-    @cached_property
+    @lazy
     def cycle(self) -> _Cycle:
         """The cycle of theta's period, walked from its first reduced quotient."""
         return _periodic(self.reduced)

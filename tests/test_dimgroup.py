@@ -465,6 +465,30 @@ class TestPhiBuiltWhenRead:
                 args = {"period": word, "vector": list(v)}
                 assert run_command("dimgroup.positive", args) == {"verdict": want}
 
+    def test_compare_at_one_stage_never_builds_phi(self, no_product, alarm):
+        # the word is past the word budget, so no product of it could answer
+        word = [1] * 199999 + [2]
+        for stage, e2, want in [(0, [1, 0], True), (0, [0, 1], False), (7, [1, 0], True)]:
+            args = {"period": word, "e1": {"stage": stage, "vector": [1, 0]},
+                    "e2": {"stage": stage, "vector": e2}}
+            assert run_command("dimgroup.compare", args) == {"equal": want}
+
+    def test_a_first_phi_read_waits_on_no_other_product(self, monkeypatch, held_read):
+        # while thread A's product of one word is held, thread B's first
+        # read of another group's phi multiplies its own word and returns
+        g1, g2 = from_cf_period((2, 1, 3)), from_cf_period((1, 2))
+        mobius_matrix = contfrac._mobius_matrix
+
+        def held(*args):
+            if args[0] == g1._word:
+                held_read.wait()
+            return mobius_matrix(*args)
+
+        monkeypatch.setattr(contfrac, "_mobius_matrix", held)
+        phi1, phi2 = held_read.beside(lambda: g1.phi, lambda: g2.phi)
+        assert phi1 == ((11, 3), (4, 1)) and phi2 == ((3, 1), (2, 1))
+        assert vars(g1)["phi"] is phi1 and vars(g2)["phi"] is phi2
+
     @pytest.fixture
     def products(self, monkeypatch):
         calls = []

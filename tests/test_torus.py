@@ -440,6 +440,24 @@ class TestOneExpansionPerParameter:
                                  "_walk to theta1": 0, "least_rotation": 1}
 
 
+class TestLazyFieldsTakeNoLock:
+    def test_a_first_cycle_read_waits_on_no_other_walk(self, monkeypatch, held_read):
+        # while thread A's walk of sqrt(19)'s cycle is held, thread B's
+        # first read of sqrt(7)'s cycle walks and returns on its own
+        t1, t2 = TorusParameter(parse_surd("sqrt(19)")), TorusParameter(parse_surd("sqrt(7)"))
+        periodic = torus._periodic
+
+        def held(reduced):
+            if reduced == t1.reduced:
+                held_read.wait()
+            return periodic(reduced)
+
+        monkeypatch.setattr(torus, "_periodic", held)
+        c1, c2 = held_read.beside(lambda: t1.cycle, lambda: t2.cycle)
+        assert c1 == ((2, 1, 3, 1, 2, 8), 3) and c2 == ((1, 1, 1, 4), 0)
+        assert vars(t1)["cycle"] is c1 and vars(t2)["cycle"] is c2
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize(
         "x,y",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistlab._value import lazy
 from twistlab.contfrac import Convergent, EventuallyPeriodicCF, FiniteCF
 from twistlab.dimgroup import K0Element, StationaryDimensionGroup
 from twistlab.elliptic import EllipticCurve, TwistParameter
@@ -90,3 +91,14 @@ def test_cached_expansion_leaves_parameter_unchanged():
     assert t == TorusParameter(SQRT2)
     assert hash(t) == hash(TorusParameter(SQRT2))
     assert repr(t) == "TorusParameter(theta=QuadraticSurd(0, 1, 1, 2))"
+
+
+def test_lazy_fields_read_on_their_class():
+    """A lazy field read on its class is the descriptor, which keeps its
+    function's docstring; read on an instance, it is kept in vars()."""
+    assert isinstance(StationaryDimensionGroup.phi, lazy)
+    assert isinstance(TorusParameter.reduced, lazy)
+    assert TorusParameter.cycle.__doc__ == (
+        "The cycle of theta's period, walked from its first reduced quotient.")
+    t = TorusParameter(SQRT2)
+    assert "cycle" not in vars(t) and t.cycle is vars(t)["cycle"] is t.cycle
