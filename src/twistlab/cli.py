@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from math import isfinite
 
 # the layers are loaded lazily (see __init__): a verb runs only the ones it calls
 from . import contfrac, dimgroup, elliptic, surd, torus
@@ -139,7 +139,7 @@ def _cmd_cf_value(args: dict) -> dict:
 
 
 @cache
-def _digit_ceiling(limit: int) -> Optional[int]:
+def _digit_ceiling(limit: int) -> int | None:
     """The least integer too long for str() under a digit limit; 0 is no limit."""
     return 10**limit if limit else None
 
@@ -338,6 +338,13 @@ def _shown(responses: list, verb: str, indent) -> tuple[str, int]:
     return json.dumps({"error": error}, indent=indent), 2
 
 
+def _finite(text: str) -> float:
+    """A float in main's JSON: NaN, the infinities and overflow are refused, not coerced."""
+    if not isfinite(value := float(text)):
+        raise UsageError(f"malformed JSON input: {clipped(text)} is not a finite float")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="twistlab",
@@ -357,12 +364,12 @@ def main(argv=None) -> int:
     try:
         if opts.args is not None and opts.infile:
             raise UsageError("give inline JSON args or --in, not both")
-        raw = opts.args
+        raw = "{}" if opts.args is None else opts.args
         if opts.infile:
             with open(opts.infile, encoding="utf-8") as fh:
                 raw = fh.read()
         try:
-            payload = json.loads(raw) if raw is not None else {}
+            payload = json.loads(raw, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed JSON input: {exc}")
         except ValueError:  # an integer past the interpreter's digit limit

@@ -10,11 +10,12 @@ the first reduced state and the minimal period at that state's return.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
 from threading import Lock
-from typing import Iterator, NamedTuple, Optional, Union
 
 from . import surd
 from ._value import Value
@@ -141,7 +142,7 @@ class EventuallyPeriodicCF(Value):
             yield from self.period
 
 
-AnyCF = Union[FiniteCF, EventuallyPeriodicCF]
+AnyCF = FiniteCF | EventuallyPeriodicCF
 
 
 class Convergent(Value):
@@ -250,13 +251,12 @@ def _periodic(reduced: tuple) -> _Cycle:
     return found
 
 
-class _Cycle(NamedTuple):
-    """The period walked from a reduced state, and its least-rotation
-    offset, found right after the walk: a record is complete when the
-    memo keeps it, and nothing writes it after."""
+class _Cycle(namedtuple("_Cycle", "period offset")):
+    """The period (a tuple of terms) walked from a reduced state, and its
+    least-rotation offset, found right after the walk: a record is
+    complete when the memo keeps it, and nothing writes it after."""
 
-    period: tuple[int, ...]
-    offset: int
+    __slots__ = ()
 
     def least(self) -> tuple[int, ...]:
         """The period at its least rotation: the tail class's normal form."""
@@ -315,7 +315,7 @@ def _clear_cycles() -> None:
         _cycle_words = 0
 
 
-def _walk(P: int, Q: int, D: int, to: tuple[int, int], cap: int) -> Optional[tuple[int, ...]]:
+def _walk(P: int, Q: int, D: int, to: tuple[int, int], cap: int) -> tuple[int, ...] | None:
     """The terms of the state recursion from the reduced state (P, Q) over
     D until it first reaches the state `to`: from a state back to itself,
     its period; None past cap steps.  A reduced state stays reduced, so
@@ -452,9 +452,7 @@ def iter_convergents(cf: AnyCF, count: int) -> Iterator[Convergent]:
         raise CFError("count must be positive")
     if isinstance(cf, FiniteCF):
         if count > len(cf.terms):
-            raise CFError(
-                f"requested {count} terms, finite expansion has {len(cf.terms)}"
-            )
+            raise CFError(f"requested {count} terms, finite expansion has {len(cf.terms)}")
         terms = cf.terms
     else:
         terms = cf.term_stream()

@@ -18,7 +18,6 @@ from functools import reduce
 from itertools import cycle
 from math import gcd
 from operator import or_
-from typing import Optional
 
 # the other layers through their module objects: each loads only when a
 # verb first calls into it, so a group given by phi loads none of them
@@ -120,7 +119,7 @@ class StationaryDimensionGroup(Value):
     in _word and multiplies phi out only when phi is first read."""
 
     _fields = ("phi",)
-    _word: Optional[tuple[int, ...]] = None
+    _word: tuple[int, ...] | None = None
 
     def __init__(self, phi: Matrix):
         object.__setattr__(self, "phi", phi)
@@ -247,7 +246,7 @@ def _scaled_value(poly: list[int], x: Fraction) -> int:
     return y
 
 
-def _variations(seq: list[list[int]], x: Optional[Fraction]) -> int:
+def _variations(seq: list[list[int]], x: Fraction | None) -> int:
     """Sign changes along seq at x (None is +infinity), zeros skipped."""
     values = [poly[0] if x is None else _scaled_value(poly, x) for poly in seq]
     signs = [y > 0 for y in values if y]
@@ -394,7 +393,7 @@ def rank2_slope(g: StationaryDimensionGroup) -> surd.QuadraticSurd:
 
 def rank2_morita_equivalent(
     g1: StationaryDimensionGroup, g2: StationaryDimensionGroup
-) -> Optional[torus.UnimodularWitness]:
+) -> torus.UnimodularWitness | None:
     """Witness that the two rank-2 groups lie in one tail class."""
     t1 = torus.TorusParameter(rank2_slope(g1))
     t2 = torus.TorusParameter(rank2_slope(g2))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from ._value import Value
 from .errors import CurveError, SingularCurveError, clipped
@@ -86,7 +85,7 @@ def c_isomorphic(e1: EllipticCurve, e2: EllipticCurve) -> bool:
     return a1**3 * (b2 * d1) ** 2 * c2**3 == a2**3 * (b1 * d2) ** 2 * c1**3
 
 
-def _int_nth_root(m: int, n: int) -> Optional[int]:
+def _int_nth_root(m: int, n: int) -> int | None:
     """Exact nonnegative n-th root of m >= 0, or None: Newton's integer
     iteration from above decreases strictly to the floor of the root."""
     if m < 2:
@@ -110,7 +109,7 @@ def _twist_ratio(e1: EllipticCurve, e2: EllipticCurve) -> tuple[int, int]:
     return a1 * b2 * c2 * d1, c1 * d2 * a2 * b1
 
 
-def _scaling(e1: EllipticCurve, e2: EllipticCurve) -> Optional[Fraction]:
+def _scaling(e1: EllipticCurve, e2: EllipticCurve) -> Fraction | None:
     """The u > 0 with A2 = u^4 A1, B2 = u^6 B1 for C-isomorphic curves, or
     None.  The scaling by u is the twist by t = u^2 at generic j, by
     t = u^4 at j = 1728 (B = 0) and by t = u^6 at j = 0 (A = 0)."""
@@ -125,9 +124,7 @@ def _scaling(e1: EllipticCurve, e2: EllipticCurve) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def q_isomorphic(
-    e1: EllipticCurve, e2: EllipticCurve
-) -> tuple[bool, Optional[Fraction]]:
+def q_isomorphic(e1: EllipticCurve, e2: EllipticCurve) -> tuple[bool, Fraction | None]:
     """Decide A2 = u^4 A1, B2 = u^6 B1 for some nonzero rational u.
 
     Returns (verdict, u) with u > 0 chosen when it exists (u and -u act

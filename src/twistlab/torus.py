@@ -9,8 +9,6 @@ tail.  Equivalences come with explicit verified matrix witnesses.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ._value import Value, lazy
 from .contfrac import _Cycle, _periodic, _reduced_state, _transfer, _walk
 from .errors import TorusError, clipped
@@ -137,7 +135,7 @@ def _verified(m: UnimodularWitness, t1: TorusParameter, t2: TorusParameter) -> U
     return m
 
 
-def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
+def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness | None:
     """A verified witness M(w2) * M(w1)^-1 of determinant (-1)^(|w1| + |w2|)
     for the prefix words, or None when the tail classes differ.
 
@@ -147,7 +145,7 @@ def morita_equivalent(t1: TorusParameter, t2: TorusParameter) -> Optional[Unimod
     return _verified(UnimodularWitness(*_transfer(*found[:2])), t1, t2) if found else None
 
 
-def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> Optional[UnimodularWitness]:
+def sl2_witness(t1: TorusParameter, t2: TorusParameter) -> UnimodularWitness | None:
     """A verified witness of determinant exactly +1, or None.
 
     Extending theta2's prefix word by one period flips the witness parity

@@ -1,6 +1,6 @@
 """The start-up contract, each check in a fresh interpreter: importing the
-CLI registers the five layers without running any, and a verb runs only
-the layers it calls into."""
+CLI registers the five layers without running any, a verb runs only
+the layers it calls into, and annotations import nothing."""
 
 import json
 import os
@@ -25,16 +25,17 @@ print(json.dumps({{
     "registered": [m for m in {layers!r} if "twistlab." + m in sys.modules],
     "ran": [m for m in {layers!r} if type(sys.modules["twistlab." + m]) is types.ModuleType],
     "imported": sorted(imported),
+    "typing": "typing" in sys.modules,
 }}))
 """
 
 
-def probe(action: str = "") -> dict:
+def probe(action: str = "", *flags: str) -> dict:
     # the child imports the same twistlab as the tests, installed or not
     src = str(Path(twistlab.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(action=action, layers=LAYERS)],
+        [sys.executable, *flags, "-c", PROBE.format(action=action, layers=LAYERS)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -60,29 +61,39 @@ MAIN = ("import contextlib, io\n"
         "    assert twistlab.cli.main([{verb!r}, json.dumps({args!r})]) == 0\n")
 
 
-@pytest.mark.parametrize(
-    "call,verb,args,ran",
-    [
-        (RUN_COMMAND, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
-        (RUN_COMMAND, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]},
-         ["dimgroup"]),
-        (RUN_COMMAND, "dimgroup.positive", {"period": [1, 2], "vector": [1, -1]},
-         ["contfrac", "dimgroup"]),
-        (RUN_COMMAND, "cf.expand", {"theta": "sqrt(7)"}, ["surd", "contfrac"]),
-        (RUN_COMMAND, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
-         ["surd", "contfrac", "torus"]),
-        (MAIN, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
-        (MAIN, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]}, ["dimgroup"]),
-        (MAIN, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
-         ["surd", "contfrac", "torus"]),
-    ],
-    ids=["curve.j", "dimgroup.positive-phi", "dimgroup.positive-period", "cf.expand",
-         "torus.morita", "main-curve.j", "main-dimgroup.positive-phi", "main-torus.morita"],
-)
+VERB_CALLS = [
+    (RUN_COMMAND, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
+    (RUN_COMMAND, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]},
+     ["dimgroup"]),
+    (RUN_COMMAND, "dimgroup.positive", {"period": [1, 2], "vector": [1, -1]},
+     ["contfrac", "dimgroup"]),
+    (RUN_COMMAND, "cf.expand", {"theta": "sqrt(7)"}, ["surd", "contfrac"]),
+    (RUN_COMMAND, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
+     ["surd", "contfrac", "torus"]),
+    (MAIN, "curve.j", {"A": 1, "B": 2}, ["elliptic"]),
+    (MAIN, "dimgroup.positive", {"phi": [[2, 1], [1, 1]], "vector": [1, -1]}, ["dimgroup"]),
+    (MAIN, "torus.morita", {"theta1": "sqrt(7)", "theta2": "(1+sqrt(7))/3"},
+     ["surd", "contfrac", "torus"]),
+]
+VERB_IDS = ["curve.j", "dimgroup.positive-phi", "dimgroup.positive-period", "cf.expand",
+            "torus.morita", "main-curve.j", "main-dimgroup.positive-phi", "main-torus.morita"]
+
+
+@pytest.mark.parametrize("call,verb,args,ran", VERB_CALLS, ids=VERB_IDS)
 def test_verb_runs_only_its_layers(call, verb, args, ran):
     seen = probe(call.format(verb=verb, args=args))
     assert seen["ran"] == ran
     assert seen["registered"] == list(LAYERS)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [""] + [call.format(verb=verb, args=args) for call, verb, args, _ in VERB_CALLS],
+    ids=["import"] + VERB_IDS,
+)
+def test_annotations_import_no_typing(action):
+    # -S: a site hook may import typing before any twistlab code runs
+    assert probe(action, "-S")["typing"] is False
 
 
 def test_domain_errors_load_no_layer():
