@@ -119,19 +119,14 @@ def _text(x, error: type) -> str:
         raise error(f"result too long to print: {digit_limit_text()}") from None
 
 
-def _cf_json(cf) -> dict:
-    if isinstance(cf, contfrac.FiniteCF):
-        return {"terms": list(cf.terms)}
-    return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
-
-
 # -- verb handlers ----------------------------------------------------
 
 def _cmd_cf_expand(args: dict) -> dict:
     theta = _surd_arg(args, "theta")
     if theta.is_rational:
-        return _cf_json(contfrac.expand_rational(theta.to_fraction()))
-    return _cf_json(contfrac.expand_surd(theta))
+        return {"terms": list(contfrac.expand_rational(theta.to_fraction()).terms)}
+    cf = contfrac.expand_surd(theta)
+    return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
 
 
 def _cmd_cf_value(args: dict) -> dict:
@@ -286,6 +281,8 @@ def run_batch(entries: list) -> list:
             raise UsageError(f"batch entry {i} must have 'verb' and 'id'")
         if isinstance(entry["id"], (list, dict)):  # unhashable
             raise UsageError(f"batch entry {i}: 'id' must not be an array or object")
+        if isinstance(entry["id"], float) and not isfinite(entry["id"]):  # JSON has no NaN or Infinity
+            raise UsageError(f"batch entry {i}: 'id' must not be NaN or infinite")
         ids.append((type(entry["id"]), entry["id"]))  # 1, 1.0 and true are distinct JSON ids
     if len(set(ids)) != len(ids):
         raise UsageError("batch ids must be unique")

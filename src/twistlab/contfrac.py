@@ -251,16 +251,10 @@ def _periodic(reduced: tuple) -> _Cycle:
     return found
 
 
-class _Cycle(namedtuple("_Cycle", "period offset")):
-    """The period (a tuple of terms) walked from a reduced state, and its
-    least-rotation offset, found right after the walk: a record is
-    complete when the memo keeps it, and nothing writes it after."""
-
-    __slots__ = ()
-
-    def least(self) -> tuple[int, ...]:
-        """The period at its least rotation: the tail class's normal form."""
-        return self.period[self.offset:] + self.period[:self.offset]
+# The period (a tuple of terms) walked from a reduced state, and its
+# least-rotation offset, found right after the walk: a record is complete
+# when the memo keeps it, and nothing writes it after.
+_Cycle = namedtuple("_Cycle", "period offset")
 
 
 # Most machine words the cycle memo holds.  A record's k ints (a cycle's
@@ -286,15 +280,11 @@ _cycle_words = 0
 _cycle_lock = Lock()
 
 
-def _words(state: tuple[int, int, int], cycle: _Cycle) -> int:
-    ints = state + cycle.period
-    return _CYCLE_WORDS + len(ints) + sum(map(int.bit_length, ints)) // 64
-
-
 def _keep(state: tuple[int, int, int], cycle: _Cycle) -> None:
     """Keep a cycle, unless another thread kept one for its state first."""
     global _cycle_words
-    words = _words(state, cycle)
+    ints = state + cycle.period
+    words = _CYCLE_WORDS + len(ints) + sum(map(int.bit_length, ints)) // 64
     if words > CYCLE_MEMO_WORDS:
         return
     with _cycle_lock:  # another thread may keep or clear between the lookup and here

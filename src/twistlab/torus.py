@@ -86,7 +86,8 @@ def isomorphic(t1: TorusParameter, t2: TorusParameter) -> bool:
 def morita_invariant(t: TorusParameter) -> tuple[int, ...]:
     """Canonical rotation of the minimal period: the normal form of the
     infinite tail class."""
-    return t.cycle.least()
+    period, offset = t.cycle
+    return period[offset:] + period[:offset]
 
 
 def _tail_offsets(t1: TorusParameter, t2: TorusParameter):

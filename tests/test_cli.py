@@ -177,6 +177,15 @@ class TestBatch:
             run_batch(req)
         assert str(exc.value) == "batch entry 1: 'id' must not be an array or object"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_or_infinite_id_names_its_entry(self, bad):
+        # main refuses these while decoding; a library caller could pass
+        # them, and json.dumps would print an id that is not JSON
+        req = [{"id": 0, "verb": "curve.j", "args": {}}, {"id": bad, "verb": "curve.j", "args": {}}]
+        with pytest.raises(UsageError) as exc:
+            run_batch(req)
+        assert str(exc.value) == "batch entry 1: 'id' must not be NaN or infinite"
+
     @pytest.mark.parametrize("entries, message", [
         ({"id": 0, "verb": "curve.j"}, "batch must be a JSON array"),
         ([{"id": 0, "verb": "curve.j"}, {"id": 1}], "batch entry 1 must have 'verb' and 'id'"),

