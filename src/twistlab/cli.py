@@ -180,7 +180,7 @@ def _cmd_torus_invariant(args: dict) -> dict:
 
 
 def _cmd_dimgroup_from_period(args: dict) -> dict:
-    g = dimgroup.from_cf_period(_ints(_arg(args, "period"), "period"))
+    g = dimgroup._period_group(_ints(_arg(args, "period"), "period"))
     return {
         "phi": [list(row) for row in g.phi],
         "rank": g.rank,
@@ -192,7 +192,7 @@ def _cmd_dimgroup_from_period(args: dict) -> dict:
 
 def _group_from_args(args: dict) -> dimgroup.StationaryDimensionGroup:
     if "period" in args:
-        return dimgroup.from_cf_period(_ints(args["period"], "period"))
+        return dimgroup._period_group(_ints(args["period"], "period"))
     rows = _shaped(_arg(args, "phi"), list, "phi")
     return dimgroup.from_matrix([_ints(row, "phi row") for row in rows])
 

@@ -430,6 +430,9 @@ def value_of(cf: AnyCF) -> surd.QuadraticSurd:
     # fixed point of M(pre + period) M(pre)^-1; the conjugate keeps the trace and
     # the content and discriminant of the fixed-point form, so the radicand too.
     # M(pre + period) continues the product M(pre), so each word is multiplied once.
+    # A purely periodic value is the fixed point of M(period) itself.
+    if not cf.preperiod:
+        return _fixed_point(*_mobius_matrix(cf.period))
     pre = _mobius_matrix(cf.preperiod)
     return _fixed_point(*_over(_mobius_matrix(cf.period, pre), pre, len(cf.preperiod)))
 

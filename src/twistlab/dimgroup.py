@@ -164,7 +164,13 @@ def from_cf_period(period) -> StationaryDimensionGroup:
     """phi = product of [[b_i, 1], [1, 0]] over a primitive period word;
     det = +-1 and phi^2 > 0, so it needs none of from_matrix's checks.
     phi is multiplied out when first read; is_positive never reads it."""
-    word = _integers(period, "period")
+    return _period_group(_integers(period, "period"))
+
+
+def _period_group(word: tuple[int, ...]) -> StationaryDimensionGroup:
+    """from_cf_period on a tuple of ints, for a caller that has already
+    checked each entry's type, as the CLI's decoder does: the positivity
+    and primitivity checks still run."""
     if not word or min(word) < 1:
         raise DimGroupError("period must be a nonempty positive word")
     if not contfrac.is_primitive(word):

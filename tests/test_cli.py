@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistlab
-from twistlab import contfrac
+from twistlab import contfrac, dimgroup
 from twistlab.cli import VERBS, UsageError, main, run_batch, run_command
 from twistlab.contfrac import expand_surd
 from twistlab.surd import QuadraticSurd, parse_surd
@@ -408,6 +408,29 @@ class TestStrictIntegers:
     def test_group_arguments_strict(self, args):
         with pytest.raises(UsageError):
             run_command("dimgroup.positive", args)
+
+    def test_period_words_type_checked_once(self, monkeypatch):
+        # _ints has checked every entry, so the period verbs skip
+        # from_cf_period's scan; an element still checks its vector
+        checked = []
+        integers = dimgroup._integers
+
+        def recording(values, what):
+            checked.append(what)
+            return integers(values, what)
+
+        monkeypatch.setattr(dimgroup, "_integers", recording)
+        element = {"stage": 1, "vector": [1, -1]}
+        req = [
+            {"id": 0, "verb": "dimgroup.from-period", "args": {"period": ["1", 2]}},
+            {"id": 1, "verb": "dimgroup.positive", "args": {"period": [1, 2], "vector": [1, -1]}},
+            {"id": 2, "verb": "dimgroup.compare", "args": {"period": [1, 2], "e1": element, "e2": element}},
+        ]
+        got = run_batch(req)
+        assert [entry["status"] for entry in got] == ["ok"] * 3
+        assert got[0]["result"]["phi"] == [[3, 1], [2, 1]]
+        assert "period" not in checked
+        assert checked == ["vector"] * 3
 
     def test_integer_strings_accepted(self):
         got = run_command("cf.convergents", {"terms": ["1", "+2", 2], "count": "3"})

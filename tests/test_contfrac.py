@@ -458,6 +458,29 @@ class TestValueOf:
         assert sum(fed) == len(cf.preperiod) + len(cf.period)
         assert expand_surd(x) == cf
 
+    @pytest.mark.parametrize("theta", ["(1+sqrt(5))/2", "1+sqrt(3)", "(4+sqrt(37))/7", "31+2*sqrt(251)"])
+    def test_purely_periodic_multiplies_the_period_alone(self, theta):
+        # the fixed point of M(period) itself: no product of the empty
+        # preperiod, and no conjugation by the identity
+        fed, conjugated = [], []
+        mobius_matrix, over = contfrac._mobius_matrix, contfrac._over
+
+        def counting(terms, *start):
+            fed.append(tuple(terms))
+            return mobius_matrix(terms, *start)
+
+        def watched(*args):
+            conjugated.append(args)
+            return over(*args)
+
+        cf = expand_surd(parse_surd(theta))
+        assert cf.preperiod == ()
+        with patch.object(contfrac, "_mobius_matrix", counting), patch.object(contfrac, "_over", watched):
+            x = value_of(cf)
+        assert fed == [cf.period]
+        assert conjugated == []
+        assert x == parse_surd(theta)
+
     def test_word_budget(self, alarm):
         # checked before the first multiplication, over every product a verb
         # runs and over the matrix a product continues

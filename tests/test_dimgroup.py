@@ -202,6 +202,9 @@ class TestFromCFPeriod:
     def test_non_integer_entry_named(self):
         with pytest.raises(DimGroupError, match=r"^period entries must be integers, got True$"):
             from_cf_period([1, True, 2.5])
+        # the CLI decodes digit strings; from_cf_period never coerces one
+        with pytest.raises(DimGroupError, match=r"^period entries must be integers, got '1'$"):
+            from_cf_period(["1"])
         with pytest.raises(DimGroupError, match=r"^vector entries must be integers, got '3'$"):
             K0Element(0, (1, 2, "3"))
 
